@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -82,6 +83,14 @@ def _run_trials(fn, trials: int) -> list:
         return list(pool.map(fn, range(trials)))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     mode: str
@@ -108,18 +117,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError([f"config must be a JSON object, got {type(data).__name__}"])
         unknown = sorted(set(data) - set(cls._FIELDS))
         if unknown:
             raise ConfigError([f"unknown config key {k!r}" for k in unknown])
         if "mode" not in data:
             raise ConfigError(["config needs a 'mode'"])
         kwargs = dict(data)
-        if "eps" in kwargs and not isinstance(kwargs["eps"], (list, tuple)):
-            kwargs["eps"] = [kwargs["eps"]]
         if "eps" in kwargs:
-            kwargs["eps"] = tuple(float(e) for e in kwargs["eps"])
-        if "group" in kwargs:
-            kwargs["group"] = tuple(int(q) for q in kwargs["group"])
+            eps = kwargs["eps"]
+            kwargs["eps"] = tuple(eps) if isinstance(eps, (list, tuple)) else (eps,)
+        if isinstance(kwargs.get("group"), list):
+            kwargs["group"] = tuple(kwargs["group"])
         return cls(**kwargs)
 
     def to_json(self) -> dict:
@@ -128,13 +138,42 @@ class ExperimentConfig:
         data["group"] = list(self.group)
         return data
 
-    def validate(self) -> list[str]:
+    def _type_problems(self) -> list[str]:
+        """Fields whose JSON type is wrong; the value checks need the right types."""
         problems = []
+
+        def check(name, ok, what):
+            if not ok:
+                problems.append(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        for name in ("mode", "out_dir"):
+            check(name, isinstance(getattr(self, name), str), "a string")
+        for name in ("trials", "seed", "n", "d", "queries"):
+            check(name, _is_int(getattr(self, name)), "an integer")
+        for name in ("lam", "delta"):
+            check(name, _is_real(getattr(self, name)), "a number")
+        for name in ("guess_only", "force_simulated_oracle", "dump_relevant"):
+            check(name, isinstance(getattr(self, name), bool), "true or false")
+        check("protocol", self.protocol is None or isinstance(self.protocol, str),
+              "a string or null")
+        check("protocol_json", self.protocol_json is None or isinstance(self.protocol_json, dict),
+              "an object or null")
+        check("cap", self.cap is None or _is_int(self.cap), "an integer or null")
+        check("group", isinstance(self.group, (list, tuple)) and all(map(_is_int, self.group)),
+              "a list of integers")
+        check("eps", isinstance(self.eps, (list, tuple)) and all(map(_is_real, self.eps)),
+              "a number or a list of numbers")
+        return problems
+
+    def validate(self) -> list[str]:
+        problems = self._type_problems()
+        if problems:
+            return problems
         if self.mode not in MODES:
             problems.append(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             problems.append(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             problems.append(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not self.out_dir:
             problems.append("out_dir must not be empty")

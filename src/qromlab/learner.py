@@ -47,11 +47,12 @@ def find_heavy(state: QuantumState, eps: float, exclude=frozenset()) -> int | No
     """
     if not 0 < eps < 1:
         raise DomainError(f"threshold must be in (0,1), got {eps}")
-    weights = all_weights(state)
-    for x in range(len(weights)):
-        if x in exclude:
-            continue
-        if weights[x] >= eps:
+    return _first_heavy(all_weights(state), eps, exclude)
+
+
+def _first_heavy(weights, eps: float, exclude) -> int | None:
+    for x, w in enumerate(weights):
+        if x not in exclude and w >= eps:
             return x
     return None
 
@@ -83,8 +84,11 @@ def learn(
     state, _ = run_conditioned(p, transcript)
     learned = PartialOracle(())
     aborted = False
+    # One weight pass per state: it serves the next heavy-point search
+    # and, once the loop stops, the residual.
+    weights = all_weights(state)
     while True:
-        x = find_heavy(state, eps, exclude=set(learned.domain))
+        x = _first_heavy(weights, eps, set(learned.domain))
         if x is None:
             break
         if cap is not None and len(learned) >= cap:
@@ -93,12 +97,11 @@ def learn(
         y = table[x]
         state, _ = project_partial(state, PartialOracle(((x, y),)))
         learned = learned.extended(x, y)
+        weights = all_weights(state)
 
-    residual = 0.0
-    weights = all_weights(state)
-    for x in range(len(weights)):
-        if x not in learned.domain:
-            residual = max(residual, float(weights[x]))
+    residual = max(
+        (float(w) for x, w in enumerate(weights) if x not in learned.domain), default=0.0
+    )
     return LearnerOutcome(
         simulated_state=state,
         learned=learned,

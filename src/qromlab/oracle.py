@@ -7,6 +7,11 @@ initial state is the all-zeros basis vector and a query only touches the
 cell it addresses.  Converting a cell to the computational basis means
 applying the group's Fourier matrix to that axis.
 
+A query is one pass of a fused |Y|²×|Y|² unitary over the (y, cell) axes:
+the Fourier-picture shift of the cell by y, conjugated by y's Fourier
+rotation and built once per group (see ``oracle_query``).  All weights
+come from one pass over |amps|² (see ``all_weights``).
+
 A learned cell is projected onto a computational value and then sliced
 out of the dense array; its value is kept in ``state.fixed``.  Weights of
 learned cells are 0 by definition and the Fourier support is counted over
@@ -15,7 +20,7 @@ the remaining cells.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,7 @@ from .qstate import (
     QuantumState,
     Register,
     RegisterLayout,
+    apply_matrix,
 )
 
 SUPPORT_TOL = 1e-12
@@ -148,24 +154,24 @@ def init_purified(
     return QuantumState.zero(layout)
 
 
-def _shift_gather(group: GroupSpec, inverse: bool) -> np.ndarray:
-    """gather[yhat, b] = source index in the cell axis for output index b."""
-    add = group.add_table
-    n = group.order
-    out = np.empty((n, n), dtype=np.int64)
-    for yhat in range(n):
-        for b in range(n):
-            src = add[b, yhat] if not inverse else group.sub(b, yhat)
-            out[yhat, b] = src
-    return out
+@functools.lru_cache(maxsize=None)
+def _query_unitary(group: GroupSpec, inverse: bool) -> np.ndarray:
+    """The fused query (F⊗I)·S·(F†⊗I) on the joint (y, cell) index, y slower.
 
-
-def _apply_shift(amps: np.ndarray, y_ax: int, cell_ax: int, gather: np.ndarray) -> np.ndarray:
-    n = gather.shape[0]
-    moved = np.moveaxis(amps, (y_ax, cell_ax), (0, 1))
-    rows = np.arange(n).reshape(n, 1)
-    shifted = moved[rows, gather]
-    return np.moveaxis(shifted, (0, 1), (y_ax, cell_ax))
+    S shifts the cell's Fourier index by y's, |ŷ>|ĉ> -> |ŷ>|ĉ - ŷ> (|ĉ + ŷ>
+    for the inverse).  Read-only, since every caller shares it.
+    """
+    q = group.order
+    f = group.fourier_matrix
+    u = np.zeros((q, q, q, q), dtype=np.complex128)
+    for yhat in range(q):
+        rot = np.outer(f[:, yhat], f[:, yhat].conj())
+        for c in range(q):
+            c_out = group.add(c, yhat) if inverse else group.sub(c, yhat)
+            u[:, c_out, :, c] += rot
+    u = u.reshape(q * q, q * q)
+    u.setflags(write=False)
+    return u
 
 
 def oracle_query(
@@ -182,6 +188,11 @@ def oracle_query(
     the domain; it then reaches only an initial segment of it.  Learned
     cells participate as the classical constants they collapsed to.
     ``inverse`` applies the adjoint (y -> y - h(x)).
+
+    Each addressed live cell takes one pass of the |Y|²×|Y|² fused
+    unitary over its (y, cell) axes; a learned cell with value v is the
+    permutation y -> y ± v.  A constant address costs one pass over the
+    state, an address register one pass over each of its slices.
     """
     spec = spec_of(state)
     group = spec.group
@@ -193,58 +204,39 @@ def oracle_query(
         raise DimensionMismatchError(
             f"query output register {y_reg!r} must have dimension {group.order}"
         )
+    y_ax = state.layout.axis(y_reg)
+    fused = _query_unitary(group, bool(inverse))
 
-    fourier = group.fourier_matrix
-    gather = _shift_gather(group, inverse)
-    chars = group.character_table
-
-    # Work in the Fourier picture of the y register: analysis in, synthesis out.
-    work = state.apply_unitary(fourier.conj().T, [y_reg])
-    y_ax = work.layout.axis(y_reg)
-    amps = work.amps
+    def query_cell(amps: np.ndarray, x: int, dropped_ax: int | None) -> np.ndarray:
+        # ``amps`` lacks the layout axis ``dropped_ax`` when it is an address slice.
+        def ax(a: int) -> int:
+            return a - 1 if dropped_ax is not None and a > dropped_ax else a
+        cell = spec.cell_name(x)
+        if cell in state.fixed:
+            v = state.fixed[cell]
+            gather = group.add_table[:, v if inverse else group.neg_table[v]]
+            return np.take(amps, gather, axis=ax(y_ax))
+        return apply_matrix(amps, fused, [ax(y_ax), ax(state.layout.axis(cell))])
 
     if x_const is not None:
         x = int(x_const)
         if not 0 <= x < spec.domain_size:
             raise DomainError(f"x_const {x} outside the oracle domain")
-        cell = spec.cell_name(x)
-        if cell in work.fixed:
-            phases = chars[:, work.fixed[cell]]
-            if inverse:
-                phases = phases.conj()
-            out = work.phase_by_value(y_reg, phases).amps
-        else:
-            out = _apply_shift(amps, y_ax, work.layout.axis(cell), gather)
+        out = query_cell(state.amps, x, None)
     else:
-        x_dim = work.layout.dim(x_reg)
+        x_dim = state.layout.dim(x_reg)
         if x_dim > spec.domain_size:
             raise DimensionMismatchError(
                 f"address register {x_reg!r} has dimension {x_dim} > domain {spec.domain_size}"
             )
-        x_ax = work.layout.axis(x_reg)
-        out = np.empty_like(amps)
-        idx = [slice(None)] * amps.ndim
+        x_ax = state.layout.axis(x_reg)
+        out = np.empty_like(state.amps)
+        idx = [slice(None)] * state.amps.ndim
         for x in range(x_dim):
             idx[x_ax] = x
             sl = tuple(idx)
-            sub = amps[sl]
-            cell = spec.cell_name(x)
-            # Axis bookkeeping: slicing removed x_ax, shifting later axes down.
-            def shifted_axis(a: int) -> int:
-                return a - 1 if a > x_ax else a
-            if cell in work.fixed:
-                phases = chars[:, work.fixed[cell]]
-                if inverse:
-                    phases = phases.conj()
-                shape = [1] * sub.ndim
-                shape[shifted_axis(y_ax)] = group.order
-                out[sl] = sub * phases.reshape(shape)
-            else:
-                cell_ax = work.layout.axis(cell)
-                out[sl] = _apply_shift(sub, shifted_axis(y_ax), shifted_axis(cell_ax), gather)
-
-    result = QuantumState(work.layout, out, dict(work.fixed))
-    return result.apply_unitary(fourier, [y_reg])
+            out[sl] = query_cell(state.amps[sl], x, x_ax)
+    return QuantumState(state.layout, out, dict(state.fixed))
 
 
 def weight(state: QuantumState, x: int) -> float:
@@ -252,23 +244,32 @@ def weight(state: QuantumState, x: int) -> float:
 
     Learned (collapsed) cells weigh 0.
     """
-    spec = spec_of(state)
-    cell = spec.cell_name(x)
-    if cell in state.fixed:
-        return 0.0
-    ax = state.layout.axis(cell)
-    slicer = [slice(None)] * state.amps.ndim
-    slicer[ax] = 0
-    flat_mass = float(np.sum(np.abs(state.amps[tuple(slicer)]) ** 2))
-    total = float(np.sum(np.abs(state.amps) ** 2))
-    if total <= 0:
-        raise ZeroProbabilityError("state has zero norm")
-    return max(0.0, 1.0 - flat_mass / total)
+    spec_of(state).cell_name(x)  # rejects points outside the domain
+    return float(all_weights(state)[int(x)])
 
 
 def all_weights(state: QuantumState) -> np.ndarray:
+    """Weight of every domain point, read off one pass over |amps|².
+
+    The squared amplitudes are summed down to their marginal on the live
+    oracle cells, which are the last axes and have |Y|^live entries.  A
+    cell's flat mass is that marginal's sum at its Fourier index 0, and
+    its weight is 1 - flat mass / total.  Learned cells weigh 0.
+    """
     spec = spec_of(state)
-    return np.array([weight(state, x) for x in range(spec.domain_size)])
+    live = [x for x in range(spec.domain_size) if spec.cell_name(x) not in state.fixed]
+    p = np.abs(state.amps) ** 2
+    first = p.ndim - len(live)
+    marginal = p.reshape(-1, *p.shape[first:]).sum(axis=0)
+    total = float(marginal.sum())
+    if total <= 0:
+        raise ZeroProbabilityError("state has zero norm")
+    weights = np.zeros(spec.domain_size)
+    for x in live:
+        cell_ax = state.layout.axis(spec.cell_name(x)) - first
+        flat_mass = float(marginal.take(0, axis=cell_ax).sum())
+        weights[x] = max(0.0, 1.0 - flat_mass / total)
+    return weights
 
 
 def fourier_support_size(state: QuantumState, threshold: float = SUPPORT_TOL) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import oracle as qoracle
 from .algebra import GroupSpec, cyclic
-from .errors import DomainError, ProtocolShapeError, UnsupportedProtocolError
+from .errors import DomainError, ProtocolShapeError, QromlabError, UnsupportedProtocolError
 from .oracle import OracleSpec
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
@@ -254,16 +254,34 @@ class Protocol:
             "ensemble_regs": list(self.ensemble_regs),
             "query_budget": self.query_budget,
             "alice_no_final_query": self.alice_no_final_query,
+            "amplitude_cap": self.amplitude_cap,
         }
 
     @classmethod
     def from_json(cls, data) -> "Protocol":
+        """Inverse of ``to_json``; malformed input raises ProtocolShapeError.
+
+        ``amplitude_cap`` may be absent (descriptions written before it
+        was recorded) and then takes the default.
+        """
+        try:
+            return cls._parse_json(data)
+        except QromlabError:
+            raise
+        except KeyError as exc:
+            raise ProtocolShapeError(f"protocol JSON lacks the key {exc.args[0]!r}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ProtocolShapeError(f"malformed protocol JSON: {exc}") from None
+
+    @classmethod
+    def _parse_json(cls, data) -> "Protocol":
         return cls(
-            name=str(data["name"]),
+            name=_typed(data["name"], str, "name"),
             group=GroupSpec.from_json(data["group"]),
-            domain_size=int(data["domain_size"]),
+            domain_size=_typed(data["domain_size"], int, "domain_size"),
             registers=tuple(
-                ProtocolRegister(str(n), int(d), str(role))
+                ProtocolRegister(_typed(n, str, "register name"), _typed(d, int, "register dim"),
+                                 _typed(role, str, "register role"))
                 for n, d, role in data["registers"]
             ),
             rounds=tuple(
@@ -281,9 +299,19 @@ class Protocol:
             key_reg_a=str(data["final_a"]["key_reg"]),
             key_reg_b=str(data["final_b"]["key_reg"]),
             ensemble_regs=tuple(str(r) for r in data["ensemble_regs"]),
-            query_budget=int(data["query_budget"]),
-            alice_no_final_query=bool(data["alice_no_final_query"]),
+            query_budget=_typed(data["query_budget"], int, "query_budget"),
+            alice_no_final_query=_typed(data["alice_no_final_query"], bool,
+                                        "alice_no_final_query"),
+            amplitude_cap=_typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
+                                 "amplitude_cap"),
         )
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` unchanged when it is a ``kind`` (a bool is no int), else ProtocolShapeError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ProtocolShapeError(f"protocol JSON {what} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 # -- validation -----------------------------------------------------------

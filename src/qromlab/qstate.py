@@ -160,6 +160,19 @@ def _as_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
+def apply_matrix(amps: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
+    """Contract ``u`` with the joint index of ``axes`` of a dense amplitude array.
+
+    The joint index runs over ``axes`` in the given order, the first
+    slowest.  ``u`` is used as given; callers check unitarity.
+    """
+    axes = list(axes)
+    moved = np.moveaxis(amps, axes, range(len(axes)))
+    shape = moved.shape
+    out = (u @ moved.reshape(u.shape[1], -1)).reshape(shape)
+    return np.moveaxis(out, range(len(axes)), axes)
+
+
 @dataclass
 class QuantumState:
     """Normalized pure state over a RegisterLayout.
@@ -224,11 +237,7 @@ class QuantumState:
         axes = [self.layout.axis(t) for t in targets]
         dims = [self.layout.dims[a] for a in axes]
         block = math.prod(dims)
-        u = _as_unitary(u, block)
-        moved = np.moveaxis(self.amps, axes, range(len(axes)))
-        shape = moved.shape
-        out = (u @ moved.reshape(block, -1)).reshape(shape)
-        out = np.moveaxis(out, range(len(axes)), axes)
+        out = apply_matrix(self.amps, _as_unitary(u, block), axes)
         return QuantumState(self.layout, out, dict(self.fixed))
 
     def permute_basis(self, perm: np.ndarray, targets) -> "QuantumState":
@@ -250,18 +259,6 @@ class QuantumState:
         out[perm] = flat
         out = np.moveaxis(out.reshape(shape), range(len(axes)), axes)
         return QuantumState(self.layout, out, dict(self.fixed))
-
-    def phase_by_value(self, name: str, phases: np.ndarray) -> "QuantumState":
-        """Multiply each basis slice of one register by a unit phase."""
-        ax = self.layout.axis(name)
-        phases = np.asarray(phases, dtype=np.complex128)
-        if phases.shape != (self.layout.dims[ax],):
-            raise DimensionMismatchError("phase vector length mismatch")
-        if np.abs(np.abs(phases) - 1.0).max() > UNITARY_TOL:
-            raise NonUnitaryError("phases must have unit modulus")
-        shape = [1] * self.amps.ndim
-        shape[ax] = len(phases)
-        return QuantumState(self.layout, self.amps * phases.reshape(shape), dict(self.fixed))
 
     # -- measurement ---------------------------------------------------
 

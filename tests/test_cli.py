@@ -250,6 +250,39 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
     assert cli.main(["replay", "0", str(tmp_path / "void")]) == 1
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n", "8"), ("d", "2"), ("queries", "3"), ("lam", "0.05"), ("delta", "0.1"),
+    ("cap", "4"), ("group", ["2"]), ("group", 2), ("trials", 2.0), ("eps", ["0.05"]),
+    ("guess_only", "no"),
+])
+def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, key, value):
+    raw = {
+        "mode": "learner-only", "protocol": "announced-query", "n": 4,
+        "trials": 2, "seed": 0, "eps": 0.05, "lam": 0.05,
+        "out_dir": str(tmp_path / "out"),
+    }
+    raw[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_protocol_file_is_a_config_error(tmp_path, capsys):
+    data = zoo.announced_query_protocol(4).to_json()
+    del data["group"]
+    proto_path = tmp_path / "broken.json"
+    proto_path.write_text(json.dumps(data))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "attack", "protocol": str(proto_path), "n": 4, "trials": 1,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "protocol JSON lacks the key 'group'" in capsys.readouterr().err
+
+
 def test_out_override_beats_the_configured_directory(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qromlab import zoo
+from qromlab import learner, zoo
 from qromlab.algebra import cyclic
 from qromlab.errors import DomainError, ZeroProbabilityError
 from qromlab.learner import LearnerOutcome, find_heavy, learn
@@ -96,6 +96,28 @@ def test_learn_cap_aborts_with_residual_heavy_point():
     assert not done.aborted
     assert done.queries_made == 4
     assert done.max_residual_weight == 0.0
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_learn_makes_one_weight_pass_per_state(monkeypatch, cap):
+    """The conditioned state and each projection get one all_weights call.
+
+    The last one also gives the residual, so a run that learns k points
+    makes k + 1 passes, aborted at the cap or not.
+    """
+    calls = []
+    real = learner.all_weights
+
+    def counting(state):
+        calls.append(1)
+        return real(state)
+
+    monkeypatch.setattr(learner, "all_weights", counting)
+    p = zoo.trivial_last_message_protocol(4, Z2)
+    out = learn(p, (), 0.1, (0, 1, 1, 0), cap=cap)
+    assert out.aborted == (cap is not None)
+    assert out.queries_made == (4 if cap is None else cap)
+    assert len(calls) == out.queries_made + 1
 
 
 def test_learn_efficiency_and_security_small_sweep():

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromlab import circuits
 from qromlab.algebra import GroupSpec
@@ -17,6 +19,7 @@ from qromlab.errors import DimensionMismatchError, ZeroProbabilityError
 from qromlab.oracle import (
     OracleSpec,
     PartialOracle,
+    all_weights,
     computational_support,
     fourier_support_size,
     init_purified,
@@ -273,3 +276,107 @@ def test_query_register_dimension_checks():
     s2 = init_purified(spec, [Register("Yw", 3)])
     with pytest.raises(DimensionMismatchError):
         oracle_query(s2, "Yw", x_const=0)  # wrong range dimension
+
+
+# -- fused kernels against the per-cell formula and the three-step route --
+
+GROUPS = [(2,), (3,), (2, 2)]
+
+
+def random_oracle_state(group_factors, domain_size, x_dim, seed, learned):
+    """Random normalized state over (X, Yw, cells), with ``learned`` cells collapsed.
+
+    Every basis state carries mass, so each projection has a nonzero branch.
+    """
+    g = GroupSpec(group_factors)
+    spec = OracleSpec(domain_size, g)
+    base = init_purified(spec, [Register("X", x_dim), Register("Yw", g.order)])
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=base.layout.total_dim) + 1j * rng.normal(size=base.layout.total_dim)
+    s = QuantumState.from_vector(base.layout, v / np.linalg.norm(v))
+    pairs = tuple((x, int(rng.integers(g.order))) for x in learned)
+    s, _ = project_partial(s, PartialOracle(pairs))
+    return s
+
+
+@st.composite
+def oracle_states(draw):
+    """Groups Z2, Z3 and Z2xZ2; any subset of the cells learned; X reaches a prefix."""
+    factors = draw(st.sampled_from(GROUPS))
+    n = draw(st.integers(2, 3))
+    x_dim = draw(st.integers(2, n))
+    learned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_oracle_state(factors, n, x_dim, seed, learned)
+
+
+def reference_weight(state, x):
+    """1 - ||amps[cell=0]||^2 / ||amps||^2, one full pass per cell."""
+    cell = f"H{x}"
+    if cell in state.fixed:
+        return 0.0
+    slicer = [slice(None)] * state.amps.ndim
+    slicer[state.layout.axis(cell)] = 0
+    flat = np.sum(np.abs(state.amps[tuple(slicer)]) ** 2)
+    return 1.0 - flat / np.sum(np.abs(state.amps) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_states())
+def test_all_weights_matches_per_cell_formula(state):
+    n = state.layout.domain_size
+    expect = [reference_weight(state, x) for x in range(n)]
+    assert np.allclose(all_weights(state), expect, rtol=0, atol=1e-12)
+    for x in range(n):
+        assert weight(state, x) == pytest.approx(expect[x], rel=0, abs=1e-12)
+
+
+def three_step_query(state, y_reg, x_reg=None, x_const=None, inverse=False):
+    """Rotate y to its Fourier basis, shift (or phase) the cell, rotate back."""
+    g = state.layout.group
+    q = g.order
+    work = state.apply_unitary(g.fourier_matrix.conj().T, [y_reg])
+    amps = work.amps
+    y_ax = work.layout.axis(y_reg)
+
+    def one_cell(sub, x, shift):
+        cell = f"H{x}"
+        if cell in work.fixed:
+            phases = g.character_table[:, work.fixed[cell]]
+            if inverse:
+                phases = phases.conj()
+            shape = [1] * sub.ndim
+            shape[shift(y_ax)] = q
+            return sub * phases.reshape(shape)
+        moved = np.moveaxis(sub, (shift(y_ax), shift(work.layout.axis(cell))), (0, 1))
+        out = np.empty_like(moved)
+        for yhat in range(q):
+            for b in range(q):
+                src = g.sub(b, yhat) if inverse else g.add(b, yhat)
+                out[yhat, b] = moved[yhat, src]
+        return np.moveaxis(out, (0, 1), (shift(y_ax), shift(work.layout.axis(cell))))
+
+    if x_const is not None:
+        out = one_cell(amps, x_const, lambda a: a)
+    else:
+        x_ax = work.layout.axis(x_reg)
+        out = np.empty_like(amps)
+        idx = [slice(None)] * amps.ndim
+        for x in range(work.layout.dim(x_reg)):
+            idx[x_ax] = x
+            out[tuple(idx)] = one_cell(amps[tuple(idx)], x, lambda a: a - 1 if a > x_ax else a)
+    shifted = QuantumState(work.layout, out, dict(work.fixed))
+    return shifted.apply_unitary(g.fourier_matrix, [y_reg])
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_states(), st.booleans(), st.booleans(), st.data())
+def test_fused_query_matches_three_step_route(state, by_register, inverse, data):
+    if by_register:
+        kwargs = {"x_reg": "X"}
+    else:
+        kwargs = {"x_const": data.draw(st.integers(0, state.layout.domain_size - 1))}
+    got = oracle_query(state, "Yw", inverse=inverse, **kwargs)
+    expect = three_step_query(state, "Yw", inverse=inverse, **kwargs)
+    assert got.layout is state.layout and got.fixed == expect.fixed
+    assert np.allclose(got.amps, expect.amps, rtol=0, atol=1e-12)

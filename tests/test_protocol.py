@@ -18,11 +18,13 @@ from qromlab import protocol as proto
 from qromlab.algebra import cyclic
 from qromlab.errors import (
     DomainError,
+    ProtocolShapeError,
     UnsupportedProtocolError,
     ZeroProbabilityError,
 )
 from qromlab.oracle import init_purified
 from qromlab.qstate import (
+    DEFAULT_AMPLITUDE_CAP,
     KIND_MESSAGE,
     KIND_WORK,
     QuantumState,
@@ -168,6 +170,40 @@ def test_json_roundtrip_preserves_behavior():
     da = proto.joint_distribution(p, table=table)
     db = proto.joint_distribution(q, table=table)
     assert proto.distribution_tv(da, db) < 1e-12
+
+
+def test_json_roundtrip_keeps_the_amplitude_cap():
+    p = dataclasses.replace(tiny_protocol(), amplitude_cap=2**12)
+    q = proto.Protocol.from_json(json.loads(json.dumps(p.to_json())))
+    assert q.amplitude_cap == 2**12
+    assert q.to_json() == p.to_json()
+    # descriptions written before the cap was recorded get the default
+    old = p.to_json()
+    del old["amplitude_cap"]
+    assert proto.Protocol.from_json(old).amplitude_cap == DEFAULT_AMPLITUDE_CAP
+
+
+@pytest.mark.parametrize("key,value", [
+    ("group", None),
+    ("registers", None),
+    ("final_a", None),
+    ("alice_no_final_query", "false"),
+    ("domain_size", "2"),
+    ("query_budget", 1.5),
+    ("amplitude_cap", True),
+    ("registers", [["YA", 2]]),
+    ("rounds", 3),
+])
+def test_malformed_protocol_json_is_a_shape_error(key, value):
+    data = tiny_protocol().to_json()
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(ProtocolShapeError):
+        proto.Protocol.from_json(data)
+    with pytest.raises(ProtocolShapeError):
+        proto.Protocol.from_json([data])
 
 
 def test_concrete_runs_are_always_correct():
