@@ -133,7 +133,7 @@ def _attach_component(sim_state: QuantumState, p: Protocol, vector) -> QuantumSt
 def _final_on_component(sim_state, p, vector):
     """Alice's final map inside the simulator: returns (key dist, final state)."""
     attached = _attach_component(sim_state, p, vector)
-    final = apply_program(attached, p.final_a_program, p, table=None)
+    final = apply_program(attached, p.final_a_program, p.group, p.reg_dims())
     dist = key_distribution(final, p.key_reg_a)
     return dist, final
 
@@ -174,8 +174,46 @@ def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
         vec = np.zeros(dim, dtype=np.complex128)
         vec[post_state.fixed[m]] = 1.0
         return DensityOperator.from_pure([Register(m, dim, KIND_MESSAGE)], vec)
-    undone = apply_program(post_state, p.final_a_program, p, table=None, inverse=True)
+    undone = apply_program(post_state, p.final_a_program, p.group, p.reg_dims(), inverse=True)
     return undone.partial_trace([m])
+
+
+def _repair(p: Protocol, components, finals, dists, k_E: int):
+    """Measure, uncompute and mix: Eve's repaired message over the components.
+
+    ``finals[i]`` and ``dists[i]`` are component i's simulator state after
+    Alice's final map and its key distribution.  Returns ``(eq_simulatedm,
+    rho, posts)``: the worst overlap of a repaired component with the real
+    one, the mix weighted by ``weight * Pr[k_E]`` (the maximally mixed state
+    when nothing survives the projection), and each live component's state
+    right after the key projection.
+    """
+    m_reg = p.message_reg()
+    m_dim = p.register(m_reg).dim
+    eq_simulatedm = 1.0
+    mixed = np.zeros((m_dim, m_dim), dtype=np.complex128)
+    mass = 0.0
+    posts = []
+    for comp, dist, final in zip(components, dists, finals):
+        p_i = float(dist[k_E])
+        if p_i < _DEAD_COMPONENT_TOL:
+            # the projection annihilated this component; Eve cannot
+            # reproduce it at all
+            eq_simulatedm = 0.0
+            continue
+        post, _ = final.postselect(p.key_reg_a, k_E)
+        rho_i = eve_message(p, post)
+        eq_simulatedm = min(eq_simulatedm, rho_i.overlap(comp.vector))
+        mixed += comp.weight * p_i * rho_i.matrix
+        mass += comp.weight * p_i
+        posts.append(post)
+    if mass < _DEAD_COMPONENT_TOL:
+        # nothing survived; send noise so the run still completes
+        mixed = np.eye(m_dim, dtype=np.complex128) / m_dim
+        eq_simulatedm = 0.0
+    else:
+        mixed /= mass
+    return eq_simulatedm, DensityOperator([Register(m_reg, m_dim, KIND_MESSAGE)], mixed), posts
 
 
 def full_attack(
@@ -226,36 +264,13 @@ def full_attack(
     components_agree = all(int(np.argmax(d[:2])) == k_E for d in dists)
     eq_find = min(float(d[k_E]) for d in dists)
 
-    m_reg = p.message_reg()
-    m_dim = p.register(m_reg).dim
     artifacts = None
     if guess_only:
         k_A = None
         eq_simulatedm = float("nan")
         eq_agrees = float("nan")
     else:
-        eq_simulatedm = 1.0
-        mixed = np.zeros((m_dim, m_dim), dtype=np.complex128)
-        mass = 0.0
-        for comp, dist, final in zip(trace.ensemble, dists, finals):
-            p_i = float(dist[k_E])
-            if p_i < _DEAD_COMPONENT_TOL:
-                # the projection annihilated this component; Eve cannot
-                # reproduce it at all
-                eq_simulatedm = 0.0
-                continue
-            post, _ = final.postselect(p.key_reg_a, k_E)
-            rho_i = eve_message(p, post)
-            eq_simulatedm = min(eq_simulatedm, rho_i.overlap(comp.vector))
-            mixed += comp.weight * p_i * rho_i.matrix
-            mass += comp.weight * p_i
-        if mass < _DEAD_COMPONENT_TOL:
-            # nothing survived; send noise so the run still completes
-            mixed = np.eye(m_dim, dtype=np.complex128) / m_dim
-            eq_simulatedm = 0.0
-        else:
-            mixed /= mass
-        rho = DensityOperator([Register(m_reg, m_dim, KIND_MESSAGE)], mixed)
+        eq_simulatedm, rho, _ = _repair(p, trace.ensemble, finals, dists, k_E)
         alice_dist = alice_final(p, trace.alice_state, rho, table=table)
         eq_agrees = float(alice_dist[k_E])
         k_A = int(rng.choice(3, p=alice_dist / alice_dist.sum()))
@@ -300,7 +315,7 @@ def _trace_then_uncompute(p: Protocol, post: QuantumState) -> DensityOperator:
     acc = np.zeros((p.register(m).dim,) * 2, dtype=np.complex128)
     for prob, vec in rho.eig_ensemble():
         pure = QuantumState.from_vector(layout, vec)
-        undone = apply_program(pure, p.final_a_program, p, inverse=True)
+        undone = apply_program(pure, p.final_a_program, p.group, p.reg_dims(), inverse=True)
         acc += prob * undone.partial_trace([m]).matrix
     return DensityOperator([rho.registers[-1]], acc)
 
@@ -316,45 +331,31 @@ def check_inequalities(p: Protocol, outcome: AttackOutcome, atol: float = 1e-9) 
     if outcome.artifacts is None:
         raise DomainError("outcome carries no retained states; rerun with keep_states=True")
     art = outcome.artifacts
-    sim_state = art["simulated_state"]
     comps = art["message_components"]
     m_reg = p.message_reg()
-    m_dim = p.register(m_reg).dim
 
-    eq_find = 1.0
-    eq_sim = 1.0
     drift = 0.0
     support_ok = True
-    order_gap = 0.0
-    mixed = np.zeros((m_dim, m_dim), dtype=np.complex128)
-    mass = 0.0
-    check_order = p.alice_no_final_query
+    finals = []
+    dists = []
     for comp in comps:
-        attached = _attach_component(sim_state, p, comp.vector)
+        attached = _attach_component(art["simulated_state"], p, comp.vector)
         w_before = all_weights(attached)
         s_before = fourier_support_size(attached)
-        final = apply_program(attached, p.final_a_program, p, table=None)
+        final = apply_program(attached, p.final_a_program, p.group, p.reg_dims())
         drift = max(drift, float(np.max(np.abs(all_weights(final) - w_before))))
         support_ok = support_ok and fourier_support_size(final) == s_before
-        dist = key_distribution(final, p.key_reg_a)
-        p_i = float(dist[outcome.k_E])
-        eq_find = min(eq_find, p_i)
-        if p_i < _DEAD_COMPONENT_TOL:
-            eq_sim = 0.0
-            continue
-        post, _ = final.postselect(p.key_reg_a, outcome.k_E)
-        rho_i = eve_message(p, post)
-        eq_sim = min(eq_sim, rho_i.overlap(comp.vector))
-        if check_order and not post.is_fixed(m_reg):
-            other = _trace_then_uncompute(p, post)
-            order_gap = max(order_gap, float(np.max(np.abs(rho_i.matrix - other.matrix))))
-        mixed += comp.weight * p_i * rho_i.matrix
-        mass += comp.weight * p_i
-    if mass < _DEAD_COMPONENT_TOL:
-        mixed = np.eye(m_dim, dtype=np.complex128) / m_dim
-    else:
-        mixed /= mass
-    rho = DensityOperator([Register(m_reg, m_dim, KIND_MESSAGE)], mixed)
+        finals.append(final)
+        dists.append(key_distribution(final, p.key_reg_a))
+    eq_find = min(float(d[outcome.k_E]) for d in dists)
+    eq_sim, rho, posts = _repair(p, comps, finals, dists, outcome.k_E)
+
+    order_gap = 0.0
+    if p.alice_no_final_query:
+        for post in posts:
+            if not post.is_fixed(m_reg):
+                gap = eve_message(p, post).matrix - _trace_then_uncompute(p, post).matrix
+                order_gap = max(order_gap, float(np.max(np.abs(gap))))
     rho_gap = float(np.max(np.abs(rho.matrix - art["rho_prime"].matrix)))
     alice_dist = alice_final(p, art["alice_state"], rho, table=outcome.table)
     eq_agrees = float(alice_dist[outcome.k_E])

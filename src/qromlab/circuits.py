@@ -1,14 +1,14 @@
 """Small random circuits over (work registers + oracle).
 
 Shared by the oracle-model equivalence checks, the sparsity tests and the
-compatibility search.  A circuit is a flat list of ops; the same list can
-run against the purified oracle or against any fixed table, which is what
-makes the two-route comparisons possible.
+compatibility search.  A circuit is an ordinary program of ``protocol``
+instructions (``Gate`` and ``Query``), run by ``protocol.apply_program``,
+the one interpreter; the same program can run against the purified oracle
+or against any fixed table, which is what makes the two-route comparisons
+possible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,56 +16,19 @@ from . import oracle as qoracle
 from .algebra import GroupSpec
 from .errors import DomainError
 from .oracle import OracleSpec
+from .protocol import Gate, Query, apply_program, matrix_gate
 from .qstate import QuantumState, Register, RegisterLayout
 
 X_REG = "X"
 Y_REG = "Yw"
 
 
-@dataclass(frozen=True)
-class Op:
-    kind: str  # "unitary" | "query"
-    targets: tuple[str, ...] = ()
-    matrix: np.ndarray | None = None
-    x_const: int | None = None
-
-    def to_json(self) -> dict:
-        data: dict = {"kind": self.kind, "targets": list(self.targets)}
-        if self.matrix is not None:
-            data["matrix"] = [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
-            ]
-        if self.x_const is not None:
-            data["x_const"] = self.x_const
-        return data
-
-    @classmethod
-    def from_json(cls, data) -> "Op":
-        matrix = None
-        if "matrix" in data:
-            matrix = np.array(
-                [[complex(re, im) for re, im in row] for row in data["matrix"]],
-                dtype=np.complex128,
-            )
-        x_const = data.get("x_const")
-        return cls(
-            kind=str(data["kind"]),
-            targets=tuple(data["targets"]),
-            matrix=matrix,
-            x_const=None if x_const is None else int(x_const),
-        )
-
-
-def ops_to_json(ops) -> list:
-    return [op.to_json() for op in ops]
-
-
-def ops_from_json(data) -> list[Op]:
-    return [Op.from_json(d) for d in data]
-
-
 def work_registers(spec: OracleSpec) -> list[Register]:
     return [Register(X_REG, spec.domain_size), Register(Y_REG, spec.group.order)]
+
+
+def _work_dims(spec: OracleSpec) -> dict[str, int]:
+    return {r.name: r.dim for r in work_registers(spec)}
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -75,20 +38,20 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_ops(spec: OracleSpec, rng: np.random.Generator, queries: int) -> list[Op]:
+def random_ops(spec: OracleSpec, rng: np.random.Generator, queries: int) -> list[Gate | Query]:
     """Random interleaving of work unitaries and ``queries`` oracle calls."""
     n, q = spec.domain_size, spec.group.order
-    ops: list[Op] = [
-        Op("unitary", (X_REG,), random_unitary(rng, n)),
-        Op("unitary", (Y_REG,), random_unitary(rng, q)),
+    ops: list[Gate | Query] = [
+        matrix_gate(random_unitary(rng, n), (X_REG,)),
+        matrix_gate(random_unitary(rng, q), (Y_REG,)),
     ]
     for _ in range(queries):
         if n > 1 and rng.random() < 0.25:
-            ops.append(Op("query", (Y_REG,), x_const=int(rng.integers(n))))
+            ops.append(Query(Y_REG, x_const=int(rng.integers(n))))
         else:
-            ops.append(Op("query", (X_REG, Y_REG)))
-        ops.append(Op("unitary", (X_REG,), random_unitary(rng, n)))
-        ops.append(Op("unitary", (Y_REG,), random_unitary(rng, q)))
+            ops.append(Query(Y_REG, x_reg=X_REG))
+        ops.append(matrix_gate(random_unitary(rng, n), (X_REG,)))
+        ops.append(matrix_gate(random_unitary(rng, q), (Y_REG,)))
     return ops
 
 
@@ -111,59 +74,34 @@ def light_rotation(group: GroupSpec, theta: float, component: int) -> np.ndarray
 
 def light_random_ops(
     spec: OracleSpec, rng: np.random.Generator, queries: int, delta: float
-) -> list[Op]:
+) -> list[Gate | Query]:
     """Circuits biased toward delta-light oracle disturbance."""
     n, q = spec.domain_size, spec.group.order
     budget = delta / max(1, queries)
-    ops: list[Op] = [Op("unitary", (X_REG,), random_unitary(rng, n))]
+    ops: list[Gate | Query] = [matrix_gate(random_unitary(rng, n), (X_REG,))]
     for _ in range(queries):
         theta = np.arcsin(np.sqrt(rng.uniform(0.0, budget)))
         component = int(rng.integers(1, q))
-        ops.append(Op("unitary", (Y_REG,), light_rotation(spec.group, theta, component)))
+        rotation = light_rotation(spec.group, theta, component)
+        ops.append(matrix_gate(rotation, (Y_REG,)))
         if rng.random() < 0.3:
-            ops.append(Op("query", (Y_REG,), x_const=int(rng.integers(n))))
+            ops.append(Query(Y_REG, x_const=int(rng.integers(n))))
         else:
-            ops.append(Op("query", (X_REG, Y_REG)))
-        ops.append(Op("unitary", (X_REG,), random_unitary(rng, n)))
+            ops.append(Query(Y_REG, x_reg=X_REG))
+        ops.append(matrix_gate(random_unitary(rng, n), (X_REG,)))
         # Undo the y rotation so the next query starts near the flat state.
-        ops.append(
-            Op("unitary", (Y_REG,), light_rotation(spec.group, theta, component).conj().T)
-        )
+        ops.append(matrix_gate(rotation.conj().T, (Y_REG,)))
     return ops
 
 
-def run_purified(spec: OracleSpec, ops, extra_registers=None) -> QuantumState:
-    regs = work_registers(spec) if extra_registers is None else list(extra_registers)
-    state = qoracle.init_purified(spec, regs)
-    for op in ops:
-        state = _apply(state, op, spec, None)
-    return state
+def run_purified(spec: OracleSpec, ops) -> QuantumState:
+    state = qoracle.init_purified(spec, work_registers(spec))
+    return apply_program(state, ops, spec.group, _work_dims(spec))
 
 
-def run_fixed(spec: OracleSpec, ops, table, extra_registers=None) -> QuantumState:
-    regs = work_registers(spec) if extra_registers is None else list(extra_registers)
-    layout = RegisterLayout(regs)
-    state = QuantumState.zero(layout)
-    for op in ops:
-        state = _apply(state, op, spec, table)
-    return state
-
-
-def _apply(state: QuantumState, op: Op, spec: OracleSpec, table) -> QuantumState:
-    if op.kind == "unitary":
-        return state.apply_unitary(op.matrix, op.targets)
-    if op.kind != "query":
-        raise DomainError(f"unknown op kind {op.kind!r}")
-    if table is None:
-        if op.x_const is not None:
-            return qoracle.oracle_query(state, op.targets[0], x_const=op.x_const)
-        return qoracle.oracle_query(state, op.targets[1], x_reg=op.targets[0])
-    if op.x_const is not None:
-        perm = qoracle.constant_add_permutation(spec.group, table[op.x_const])
-        return state.permute_basis(perm, [op.targets[0]])
-    x_reg, y_reg = op.targets
-    perm = qoracle.standard_query_permutation(spec.group, table, state.layout.dim(x_reg))
-    return state.permute_basis(perm, [x_reg, y_reg])
+def run_fixed(spec: OracleSpec, ops, table) -> QuantumState:
+    state = QuantumState.zero(RegisterLayout(work_registers(spec)))
+    return apply_program(state, ops, spec.group, _work_dims(spec), table=table)
 
 
 def work_distribution(state: QuantumState) -> np.ndarray:
@@ -181,12 +119,12 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def averaged_fixed_distribution(spec: OracleSpec, ops, extra_registers=None) -> np.ndarray:
+def averaged_fixed_distribution(spec: OracleSpec, ops) -> np.ndarray:
     """Uniform average of the work distribution over every fixed table."""
     acc = None
     count = 0
     for table in spec.all_tables():
-        dist = work_distribution(run_fixed(spec, ops, table, extra_registers))
+        dist = work_distribution(run_fixed(spec, ops, table))
         acc = dist if acc is None else acc + dist
         count += 1
     return acc / count

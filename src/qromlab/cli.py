@@ -20,8 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import pcc, zoo
 from .algebra import GroupSpec
 from .attack import full_attack, trial_rng
@@ -486,6 +484,10 @@ def replay(trial: int, run_dir, sweep: int = 0) -> dict:
         summary = json.loads((run_dir / "summary.json").read_text())
     except FileNotFoundError:
         raise QromlabError(f"{run_dir} has no summary.json; not an experiment directory")
+    except json.JSONDecodeError as exc:
+        raise QromlabError(f"{run_dir}/summary.json is not valid JSON ({exc})") from None
+    if not isinstance(summary, dict) or summary.get("mode") not in MODES or "config" not in summary:
+        raise QromlabError(f"{run_dir}/summary.json lacks a known mode or the config")
     mode = summary["mode"]
     cfg = ExperimentConfig.from_json(summary["config"])
 
@@ -596,7 +598,10 @@ def main(argv=None) -> int:
             summary = run_experiment(cfg)
             print(json.dumps(summary, indent=2, sort_keys=True))
         elif args.command == "describe":
-            group = tuple(int(q) for q in args.group.split(","))
+            try:
+                group = tuple(int(q) for q in args.group.split(","))
+            except ValueError:
+                raise ConfigError([f"--group must be comma-separated integers, got {args.group!r}"])
             print(describe(args.name, n=args.n, group=group))
         else:
             report = replay(args.trial, args.run_dir, sweep=args.sweep)

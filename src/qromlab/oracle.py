@@ -73,9 +73,6 @@ class OracleSpec:
     def function_count(self) -> int:
         return self.group.order**self.domain_size
 
-    def sample_table(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(v) for v in rng.integers(0, self.group.order, self.domain_size))
-
     def all_tables(self):
         """Iterate every function table h as a tuple of range indices."""
         n, q = self.domain_size, self.group.order
@@ -85,13 +82,6 @@ class OracleSpec:
                 digits.append(idx % q)
                 idx //= q
             yield tuple(reversed(digits))
-
-    def to_json(self) -> dict:
-        return {"domain_size": self.domain_size, "group": self.group.to_json()}
-
-    @classmethod
-    def from_json(cls, data) -> "OracleSpec":
-        return cls(int(data["domain_size"]), GroupSpec.from_json(data["group"]))
 
 
 @dataclass(frozen=True)
@@ -126,10 +116,6 @@ class PartialOracle:
     def to_json(self) -> list[list[int]]:
         return [[x, y] for x, y in self.pairs]
 
-    @classmethod
-    def from_json(cls, data) -> "PartialOracle":
-        return cls(tuple((int(x), int(y)) for x, y in data))
-
 
 def spec_of(state: QuantumState) -> OracleSpec:
     layout = state.layout
@@ -140,7 +126,7 @@ def spec_of(state: QuantumState) -> OracleSpec:
 
 def init_purified(
     spec: OracleSpec,
-    extra_registers=(),
+    work_registers=(),
     amplitude_cap: int = DEFAULT_AMPLITUDE_CAP,
 ) -> QuantumState:
     """Uniform-over-all-tables oracle state, with optional work registers in front.
@@ -148,7 +134,7 @@ def init_purified(
     In the Fourier encoding the uniform superposition is a single basis
     vector, so this is the all-zeros state.
     """
-    regs = list(extra_registers) + spec.registers()
+    regs = list(work_registers) + spec.registers()
     layout = RegisterLayout(regs, group=spec.group, domain_size=spec.domain_size,
                             amplitude_cap=amplitude_cap)
     return QuantumState.zero(layout)

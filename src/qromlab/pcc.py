@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .circuits import light_random_ops, ops_to_json, run_purified
+from .circuits import light_random_ops, run_purified
 from .errors import DomainError
 from .oracle import (
     OracleSpec,
@@ -102,8 +102,8 @@ class SearchHit:
     def to_json(self) -> dict:
         return {
             "trial": self.trial,
-            "ops_a": ops_to_json(self.ops_a),
-            "ops_b": ops_to_json(self.ops_b),
+            "ops_a": [op.to_json() for op in self.ops_a],
+            "ops_b": [op.to_json() for op in self.ops_b],
             "state_a": self.state_a.dump(),
             "state_b": self.state_b.dump(),
             "report_a": self.report_a.to_json(),

@@ -9,16 +9,20 @@ then exactly one quantum message from Bob to Alice, with Bob's key fixed
 before that message leaves his lab and Alice's key produced by a final
 map on her side plus the received message.
 
-The same description runs in two ways: against the purified oracle
-register (one joint pure state including the H cells) or against a fixed
-table, where a query is just a permutation.  Agreement of the two routes
-is what the oracle-model tests pin down.
+Every program, a protocol round and a random circuit alike, is a sequence
+of the two instructions ``Gate`` and ``Query`` with one JSON encoding, and
+``apply_program`` is the one interpreter for it.  It runs the same program
+in two ways: against the purified oracle register (one joint pure state
+including the H cells) or against a fixed table, where a query is just a
+permutation.  Agreement of the two routes is what the oracle-model tests
+pin down.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +71,17 @@ class ProtocolRegister:
         object.__setattr__(self, "dim", int(self.dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
-    """A named unitary from the builtin library, or an explicit matrix."""
+    """A named unitary from the builtin library, or an explicit matrix.
+
+    An explicit ``matrix`` is a read-only complex array, applied as stored;
+    gates therefore compare by identity.
+    """
 
     name: str
     targets: tuple[str, ...]
-    matrix: tuple | None = None
+    matrix: np.ndarray | None = None
     perm: tuple[int, ...] | None = None
     group: tuple[int, ...] | None = None
 
@@ -108,33 +116,39 @@ class Query:
 
 
 def instruction_from_json(data) -> "Gate | Query":
-    if data["op"] == "query":
-        return Query(
-            y_reg=str(data["y"]),
-            x_reg=data.get("x_reg"),
-            x_const=None if data.get("x_const") is None else int(data["x_const"]),
+    """Inverse of ``Gate.to_json``/``Query.to_json``; a mistyped field is a ProtocolShapeError."""
+    with _shape_errors():
+        op = _typed(data["op"], str, "instruction op")
+        if op == "query":
+            return Query(
+                y_reg=_typed(data["y"], str, "query y"),
+                x_reg=_optional(data, "x_reg", str),
+                x_const=_optional(data, "x_const", int),
+            )
+        if op != "unitary":
+            raise ProtocolShapeError(f"unknown instruction op {op!r}")
+        matrix = None
+        if "matrix" in data:
+            matrix = _read_only([[_complex(z) for z in _typed(row, list, "matrix row")]
+                                 for row in _typed(data["matrix"], list, "matrix")])
+        perm, group = data.get("perm"), data.get("group")
+        return Gate(
+            name=_typed(data["name"], str, "gate name"),
+            targets=tuple(_typed_list(data["targets"], str, "gate target")),
+            matrix=matrix,
+            perm=None if perm is None else tuple(_typed_list(perm, int, "perm entry")),
+            group=None if group is None else tuple(_typed_list(group, int, "group factor")),
         )
-    if data["op"] != "unitary":
-        raise ProtocolShapeError(f"unknown instruction op {data['op']!r}")
-    matrix = None
-    if "matrix" in data:
-        matrix = tuple(
-            tuple(complex(re, im) for re, im in row) for row in data["matrix"]
-        )
-    perm = tuple(int(i) for i in data["perm"]) if "perm" in data else None
-    group = tuple(int(q) for q in data["group"]) if "group" in data else None
-    return Gate(
-        name=str(data["name"]),
-        targets=tuple(str(t) for t in data["targets"]),
-        matrix=matrix,
-        perm=perm,
-        group=group,
-    )
+
+
+def _read_only(matrix) -> np.ndarray:
+    m = np.array(matrix, dtype=np.complex128)
+    m.setflags(write=False)
+    return m
 
 
 def matrix_gate(matrix, targets) -> Gate:
-    m = np.asarray(matrix, dtype=np.complex128)
-    return Gate("matrix", tuple(targets), matrix=tuple(tuple(row) for row in m))
+    return Gate("matrix", tuple(targets), matrix=_read_only(matrix))
 
 
 def permutation_gate(perm, targets) -> Gate:
@@ -264,14 +278,8 @@ class Protocol:
         ``amplitude_cap`` may be absent (descriptions written before it
         was recorded) and then takes the default.
         """
-        try:
+        with _shape_errors():
             return cls._parse_json(data)
-        except QromlabError:
-            raise
-        except KeyError as exc:
-            raise ProtocolShapeError(f"protocol JSON lacks the key {exc.args[0]!r}") from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ProtocolShapeError(f"malformed protocol JSON: {exc}") from None
 
     @classmethod
     def _parse_json(cls, data) -> "Protocol":
@@ -307,11 +315,41 @@ class Protocol:
         )
 
 
-def _typed(value, kind: type, what: str):
+def _typed(value, kind, what: str):
     """``value`` unchanged when it is a ``kind`` (a bool is no int), else ProtocolShapeError."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ProtocolShapeError(f"protocol JSON {what} must be {kind.__name__}, got {value!r}")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (int in kinds and isinstance(value, bool)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ProtocolShapeError(f"protocol JSON {what} must be {names}, got {value!r}")
     return value
+
+
+def _typed_list(value, kind, what: str) -> list:
+    return [_typed(v, kind, what) for v in _typed(value, list, what + " list")]
+
+
+def _complex(pair) -> complex:
+    re_part, im_part = _typed_list(pair, (int, float), "matrix entry")
+    return complex(re_part, im_part)
+
+
+def _optional(data, key: str, kind):
+    """``data[key]`` type-checked, or None when the key is absent or null."""
+    value = data.get(key)
+    return None if value is None else _typed(value, kind, key)
+
+
+@contextmanager
+def _shape_errors():
+    """Report a malformed JSON walk (missing key, wrong container) as ProtocolShapeError."""
+    try:
+        yield
+    except QromlabError:
+        raise
+    except KeyError as exc:
+        raise ProtocolShapeError(f"protocol JSON lacks the key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ProtocolShapeError(f"malformed protocol JSON: {exc}") from None
 
 
 # -- validation -----------------------------------------------------------
@@ -457,6 +495,10 @@ def _check_program(p, program, where, allowed_roles, dims, roles, rep) -> None:
 
 
 def _resolve_gate(gate: Gate, dims: dict[str, int]):
+    if gate.name == "matrix":
+        if gate.matrix is None:
+            raise ProtocolShapeError("matrix gate needs an explicit matrix")
+        return "matrix", np.asarray(gate.matrix, dtype=np.complex128)
     tdims = tuple(dims[t] for t in gate.targets)
     if gate.name == "hadamard":
         if tdims != (2,):
@@ -484,10 +526,6 @@ def _resolve_gate(gate: Gate, dims: dict[str, int]):
             (src_dim, dst_dim), lambda a, b: (a, g.add(b, a % dst_dim))
         )
         return "perm", perm
-    if gate.name == "matrix":
-        if gate.matrix is None:
-            raise ProtocolShapeError("matrix gate needs an explicit matrix")
-        return "matrix", np.asarray(gate.matrix, dtype=np.complex128)
     raise ProtocolShapeError(f"unknown builtin unitary {gate.name!r}")
 
 
@@ -530,64 +568,49 @@ def _apply_perm_with_fixed(state: QuantumState, perm: np.ndarray, targets, dims)
 def apply_instruction(
     state: QuantumState,
     instr,
-    p: Protocol,
+    group: GroupSpec,
+    dims: dict[str, int],
     table=None,
-    remap: dict[str, str] | None = None,
     inverse: bool = False,
 ) -> QuantumState:
     """Run one instruction on a state, purified (table=None) or concrete.
 
-    ``remap`` renames protocol registers to state registers before
-    application; the attack uses it to bind the protocol's message
-    register to the intercepted one.
+    ``group`` is the oracle's range and ``dims`` maps every register the
+    instruction names, frozen ones included, to its dimension.
     """
-    remap = remap or {}
-    dims = p.reg_dims()
-
     if isinstance(instr, Gate):
-        targets = [remap.get(t, t) for t in instr.targets]
-        tdims = tuple(dims[t] for t in instr.targets)
         kind, obj = _resolve_gate(instr, dims)
         if kind == "matrix":
-            if inverse:
-                obj = obj.conj().T
-            return state.apply_unitary(obj, targets)
-        perm = obj
-        if inverse:
-            perm = np.argsort(perm)
-        return _apply_perm_with_fixed(state, perm, targets, tdims)
+            return state.apply_unitary(obj.conj().T if inverse else obj, instr.targets)
+        return _apply_perm_with_fixed(state, np.argsort(obj) if inverse else obj, instr.targets,
+                                      tuple(dims[t] for t in instr.targets))
 
     if not isinstance(instr, Query):
         raise ProtocolShapeError(f"unknown instruction {instr!r}")
 
-    y = remap.get(instr.y_reg, instr.y_reg)
-    x_reg = None if instr.x_reg is None else remap.get(instr.x_reg, instr.x_reg)
-
+    y, x_reg = instr.y_reg, instr.x_reg
     if table is None:
         return qoracle.oracle_query(
             state, y, x_reg=x_reg, x_const=instr.x_const, inverse=inverse
         )
 
-    group = p.group
     if x_reg is not None and not state.is_fixed(x_reg):
-        x_dim = state.layout.dim(x_reg)
-        perm = qoracle.standard_query_permutation(group, table, x_dim)
-        if inverse:
-            perm = np.argsort(perm)
-        return state.permute_basis(perm, [x_reg, y])
-    x = instr.x_const if x_reg is None else state.fixed[x_reg]
-    perm = qoracle.constant_add_permutation(group, table[int(x)])
-    if inverse:
-        perm = np.argsort(perm)
-    return state.permute_basis(perm, [y])
+        perm = qoracle.standard_query_permutation(group, table, state.layout.dim(x_reg))
+        targets = [x_reg, y]
+    else:
+        x = instr.x_const if x_reg is None else state.fixed[x_reg]
+        perm = qoracle.constant_add_permutation(group, table[int(x)])
+        targets = [y]
+    return state.permute_basis(np.argsort(perm) if inverse else perm, targets)
 
 
-def apply_program(state, program, p, table=None, remap=None, inverse=False):
+def apply_program(state, program, group, dims, table=None, inverse=False):
+    """Run a program of Gate/Query instructions; ``inverse`` undoes it."""
     instrs = list(program)
     if inverse:
         instrs = instrs[::-1]
     for instr in instrs:
-        state = apply_instruction(state, instr, p, table=table, remap=remap, inverse=inverse)
+        state = apply_instruction(state, instr, group, dims, table=table, inverse=inverse)
     return state
 
 
@@ -606,13 +629,9 @@ class ExecutionTrace:
     transcript: tuple[int, ...]
     transcript_probs: tuple[float, ...]
     k_B: int
-    k_B_prob: float
     ensemble: list[EnsembleComponent]
     k_A: int | None = None
     alice_state: QuantumState | None = None
-    pre_message_state: QuantumState | None = None
-    final_state: QuantumState | None = None
-    round_states: list[QuantumState] = field(default_factory=list)
 
 
 def _initial_state(p: Protocol, purified: bool) -> QuantumState:
@@ -631,13 +650,13 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(rng.choice(len(probs), p=probs))
 
 
-def _run_rounds(p, table, rng=None, forced_transcript=None, keep_round_states=False):
+def _run_rounds(p, table, rng=None, forced_transcript=None):
     state = _initial_state(p, purified=table is None)
+    dims = p.reg_dims()
     transcript: list[int] = []
     probs: list[float] = []
-    round_states: list[QuantumState] = []
     for step in p.rounds:
-        state = apply_program(state, step.program, p, table=table)
+        state = apply_program(state, step.program, p.group, dims, table=table)
         if step.message is not None and step.message_kind == "classical":
             if forced_transcript is not None:
                 sym = int(forced_transcript[len(transcript)])
@@ -646,9 +665,7 @@ def _run_rounds(p, table, rng=None, forced_transcript=None, keep_round_states=Fa
             state, prob = state.postselect(step.message, sym)
             transcript.append(sym)
             probs.append(prob)
-        if keep_round_states:
-            round_states.append(state.copy())
-    return state, tuple(transcript), tuple(probs), round_states
+    return state, tuple(transcript), tuple(probs)
 
 
 def message_ensemble(state: QuantumState, p: Protocol) -> list[EnsembleComponent]:
@@ -695,23 +712,19 @@ def message_ensemble(state: QuantumState, p: Protocol) -> list[EnsembleComponent
     return components
 
 
-def _finish(p, state, table, rng, honest, keep_round_states, transcript, probs, round_states):
+def _finish(p, state, table, rng, honest, transcript, probs):
     kb_probs = state.probabilities(p.key_reg_b)
     k_B = _sample(rng, kb_probs)
-    state, kb_prob = state.postselect(p.key_reg_b, k_B)
+    state, _ = state.postselect(p.key_reg_b, k_B)
     ensemble = message_ensemble(state, p)
     trace = ExecutionTrace(
         transcript=transcript,
         transcript_probs=probs,
         k_B=k_B,
-        k_B_prob=kb_prob,
         ensemble=ensemble,
-        pre_message_state=state,
-        round_states=round_states if keep_round_states else [],
     )
     if honest:
-        final = apply_program(state, p.final_a_program, p, table=table)
-        trace.final_state = final
+        final = apply_program(state, p.final_a_program, p.group, p.reg_dims(), table=table)
         trace.k_A = _sample(rng, key_distribution(final, p.key_reg_a))
     if table is not None:
         trace.alice_state = extract_alice_state(state, p)
@@ -747,25 +760,21 @@ def extract_alice_state(state: QuantumState, p: Protocol) -> QuantumState:
     return QuantumState.from_vector(layout, canonical_phase(u[:, 0]))
 
 
-def run_purified(p: Protocol, seed=None, honest: bool = True, keep_round_states: bool = False) -> ExecutionTrace:
+def run_purified(p: Protocol, seed=None, honest: bool = True) -> ExecutionTrace:
     """Sample one purified execution: every party plus the oracle in one state."""
     rng = _as_rng(seed)
-    state, transcript, probs, round_states = _run_rounds(
-        p, None, rng=rng, keep_round_states=keep_round_states
-    )
-    return _finish(p, state, None, rng, honest, keep_round_states, transcript, probs, round_states)
+    state, transcript, probs = _run_rounds(p, None, rng=rng)
+    return _finish(p, state, None, rng, honest, transcript, probs)
 
 
-def run_concrete(p: Protocol, table, seed=None, honest: bool = True, keep_round_states: bool = False) -> ExecutionTrace:
+def run_concrete(p: Protocol, table, seed=None, honest: bool = True) -> ExecutionTrace:
     """Sample one run against a fixed oracle table."""
     rng = _as_rng(seed)
     table = tuple(int(v) for v in table)
     if len(table) != p.domain_size or any(not 0 <= v < p.group.order for v in table):
         raise DomainError("oracle table does not match the protocol's domain and range")
-    state, transcript, probs, round_states = _run_rounds(
-        p, table, rng=rng, keep_round_states=keep_round_states
-    )
-    return _finish(p, state, table, rng, honest, keep_round_states, transcript, probs, round_states)
+    state, transcript, probs = _run_rounds(p, table, rng=rng)
+    return _finish(p, state, table, rng, honest, transcript, probs)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -785,7 +794,7 @@ def run_conditioned(p: Protocol, transcript, table=None) -> tuple[QuantumState, 
     expected = len(p.classical_messages())
     if len(transcript) != expected:
         raise DomainError(f"transcript has {len(transcript)} symbols, protocol sends {expected}")
-    state, _, probs, _ = _run_rounds(p, table, forced_transcript=transcript)
+    state, _, probs = _run_rounds(p, table, forced_transcript=transcript)
     return state, float(math.prod(probs))
 
 
@@ -797,46 +806,45 @@ class Branch:
     transcript: tuple[int, ...]
     probability: float
     state: QuantumState
-    round_states: list[QuantumState]
 
 
-def enumerate_branches(p: Protocol, table=None, keep_round_states: bool = False) -> list[Branch]:
+def enumerate_branches(p: Protocol, table=None) -> list[Branch]:
     """All transcript branches with their probabilities and final states."""
 
     out: list[Branch] = []
+    dims = p.reg_dims()
 
-    def rec(state, round_idx, transcript, prob, round_states):
+    def rec(state, round_idx, transcript, prob):
         if round_idx == len(p.rounds):
-            out.append(Branch(tuple(transcript), prob, state, list(round_states)))
+            out.append(Branch(tuple(transcript), prob, state))
             return
         step = p.rounds[round_idx]
-        state = apply_program(state, step.program, p, table=table)
+        state = apply_program(state, step.program, p.group, dims, table=table)
         if step.message is not None and step.message_kind == "classical":
             probs = state.probabilities(step.message)
             for sym in range(len(probs)):
                 if probs[sym] < _BRANCH_TOL:
                     continue
                 conditioned, pr = state.postselect(step.message, sym)
-                rs = round_states + [conditioned] if keep_round_states else round_states
-                rec(conditioned, round_idx + 1, transcript + [sym], prob * pr, rs)
+                rec(conditioned, round_idx + 1, transcript + [sym], prob * pr)
         else:
-            rs = round_states + [state] if keep_round_states else round_states
-            rec(state, round_idx + 1, transcript, prob, rs)
+            rec(state, round_idx + 1, transcript, prob)
 
-    rec(_initial_state(p, purified=table is None), 0, [], 1.0, [])
+    rec(_initial_state(p, purified=table is None), 0, [], 1.0)
     return out
 
 
 def joint_distribution(p: Protocol, table=None) -> dict:
     """Exact distribution over (transcript, k_B, k_A)."""
     dist: dict = {}
+    dims = p.reg_dims()
     for branch in enumerate_branches(p, table=table):
         kb_probs = branch.state.probabilities(p.key_reg_b)
         for k_B in range(len(kb_probs)):
             if kb_probs[k_B] < _BRANCH_TOL:
                 continue
             conditioned, pr_b = branch.state.postselect(p.key_reg_b, k_B)
-            final = apply_program(conditioned, p.final_a_program, p, table=table)
+            final = apply_program(conditioned, p.final_a_program, p.group, dims, table=table)
             ka_probs = key_distribution(final, p.key_reg_a)
             for k_A in range(3):
                 w = branch.probability * pr_b * float(ka_probs[k_A])
@@ -888,5 +896,5 @@ def alice_final(p: Protocol, alice_state: QuantumState, message, table=None) -> 
     if has_query and table is None:
         raise UnsupportedProtocolError("final map queries the oracle but no table was given")
     state = alice_state.attach_register(Register(m_reg, m_dim, KIND_MESSAGE), vector=vec)
-    state = apply_program(state, p.final_a_program, p, table=table)
+    state = apply_program(state, p.final_a_program, p.group, p.reg_dims(), table=table)
     return key_distribution(state, p.key_reg_a)

@@ -208,9 +208,6 @@ class QuantumState:
     def vector(self) -> np.ndarray:
         return self.amps.reshape(-1)
 
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.layout, self.amps.copy(), dict(self.fixed))
-
     def is_fixed(self, name: str) -> bool:
         return name in self.fixed
 
@@ -442,21 +439,6 @@ class DensityOperator:
                 out.append((p, canonical_phase(evecs[:, i])))
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "registers": [[r.name, r.dim, r.kind] for r in self.registers],
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "DensityOperator":
-        regs = [Register(str(n), int(d), str(k)) for n, d, k in data["registers"]]
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in data["matrix"]],
-            dtype=np.complex128,
-        )
-        return cls(regs, mat)
-
 
 def canonical_phase(vector: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the largest-magnitude entry is real positive.
@@ -471,6 +453,3 @@ def canonical_phase(vector: np.ndarray) -> np.ndarray:
         return v
     return v * (abs(pivot) / pivot)
 
-
-def overlap(rho: DensityOperator, vector) -> float:
-    return rho.overlap(vector)

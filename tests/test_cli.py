@@ -217,6 +217,26 @@ def test_replay_rejects_a_directory_without_a_summary(tmp_path):
         cli.replay(0, tmp_path)
 
 
+@pytest.mark.parametrize("summary", [
+    "{not json",
+    json.dumps({"config": {"mode": "attack"}}),
+    json.dumps({"mode": "attack"}),
+    json.dumps({"mode": "nope", "config": {"mode": "attack"}}),
+    json.dumps([1, 2]),
+])
+def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary):
+    (tmp_path / "summary.json").write_text(summary)
+    with pytest.raises(QromlabError, match="summary.json"):
+        cli.replay(0, tmp_path)
+    assert cli.main(["replay", "0", str(tmp_path)]) == 1
+    assert "summary.json" in capsys.readouterr().err
+
+
+def test_describe_with_a_mistyped_group_is_a_config_error(capsys):
+    assert cli.main(["describe", "announced-query", "--group", "a"]) == 2
+    assert "config error: --group" in capsys.readouterr().err
+
+
 def test_describe_flags_the_model_standing():
     text = cli.describe("announced-query", n=4)
     assert "active attack applies" in text

@@ -206,6 +206,34 @@ def test_malformed_protocol_json_is_a_shape_error(key, value):
         proto.Protocol.from_json([data])
 
 
+@pytest.mark.parametrize("instr", [
+    {"op": "query", "y": "YA", "x_const": 1.7},
+    {"op": "query", "y": "YA", "x_reg": 7},
+    {"op": "query", "y": 5, "x_const": 0},
+    {"op": "query", "y": "YA", "x_const": True},
+    {"op": "unitary", "name": "permutation", "targets": ["YA"], "perm": [1.9, 0.2]},
+    {"op": "unitary", "name": "permutation", "targets": ["YA"], "perm": "10"},
+    {"op": "unitary", "name": "fourier", "targets": ["YA"], "group": [2.0]},
+    {"op": "unitary", "name": "hadamard", "targets": [3]},
+    {"op": "unitary", "name": "hadamard", "targets": "YA"},
+    {"op": "unitary", "name": 1, "targets": ["YA"]},
+    {"op": "unitary", "name": "matrix", "targets": ["YA"], "matrix": [[[1, 0], [0, "0"]]]},
+    {"op": "unitary", "name": "matrix", "targets": ["YA"], "matrix": [[[1, 0, 0]]]},
+    {"op": "unitary", "name": "matrix", "targets": ["YA"], "matrix": [[1.0]]},
+    {"op": 3},
+    {"op": "measure"},
+    {"y": "YA"},
+    ["query"],
+])
+def test_mistyped_instruction_json_is_a_shape_error(instr):
+    with pytest.raises(ProtocolShapeError):
+        proto.instruction_from_json(instr)
+    data = tiny_protocol().to_json()
+    data["rounds"][0]["program"].append(instr)
+    with pytest.raises(ProtocolShapeError):
+        proto.Protocol.from_json(data)
+
+
 def test_concrete_runs_are_always_correct():
     p = tiny_protocol()
     for table in all_tables():
@@ -326,15 +354,16 @@ def test_program_inverse_is_inverse():
         Register("M", 2, KIND_MESSAGE),
     ]
     purified = init_purified(spec, regs)
-    forward = proto.apply_program(purified, program, p)
-    back = proto.apply_program(forward, program, p, inverse=True)
+    forward = proto.apply_program(purified, program, p.group, p.reg_dims())
+    back = proto.apply_program(forward, program, p.group, p.reg_dims(), inverse=True)
     assert np.allclose(back.amps, purified.amps, atol=1e-12)
 
     layout = RegisterLayout(regs)
     concrete = QuantumState.zero(layout)
     table = (1, 1)
-    forward = proto.apply_program(concrete, program, p, table=table)
-    back = proto.apply_program(forward, program, p, table=table, inverse=True)
+    forward = proto.apply_program(concrete, program, p.group, p.reg_dims(), table=table)
+    back = proto.apply_program(forward, program, p.group, p.reg_dims(), table=table,
+                                inverse=True)
     assert np.allclose(back.amps, concrete.amps, atol=1e-12)
 
 
@@ -344,17 +373,17 @@ def test_frozen_register_steers_but_cannot_move():
     state = QuantumState.zero(layout).attach_fixed("T1", 1)
 
     bumped = proto.apply_instruction(
-        state, proto.controlled_add_gate("T1", "KA", group=cyclic(3)), p
+        state, proto.controlled_add_gate("T1", "KA", group=cyclic(3)), p.group, p.reg_dims()
     )
     # T1 frozen at 1 adds 1 into KA.
     assert np.allclose(bumped.amps, np.array([0, 1, 0], dtype=complex))
 
     with pytest.raises(UnsupportedProtocolError):
         proto.apply_instruction(
-            state, proto.permutation_gate((1, 0), ("T1",)), p
+            state, proto.permutation_gate((1, 0), ("T1",)), p.group, p.reg_dims()
         )
     untouched = proto.apply_instruction(
-        state, proto.permutation_gate((0, 1), ("T1",)), p
+        state, proto.permutation_gate((0, 1), ("T1",)), p.group, p.reg_dims()
     )
     assert np.allclose(untouched.amps, state.amps)
 
