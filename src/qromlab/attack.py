@@ -29,7 +29,7 @@ from .protocol import (
     Query,
     alice_final,
     apply_program,
-    key_distribution,
+    final_map,
     run_concrete,
 )
 from .qstate import (
@@ -132,10 +132,7 @@ def _attach_component(sim_state: QuantumState, p: Protocol, vector) -> QuantumSt
 
 def _final_on_component(sim_state, p, vector):
     """Alice's final map inside the simulator: returns (key dist, final state)."""
-    attached = _attach_component(sim_state, p, vector)
-    final = apply_program(attached, p.final_a_program, p.group, p.reg_dims())
-    dist = key_distribution(final, p.key_reg_a)
-    return dist, final
+    return final_map(p, _attach_component(sim_state, p, vector))
 
 
 def eve_guess_key(sim: LearnerOutcome, message_component, p: Protocol,
@@ -253,12 +250,8 @@ def full_attack(
     trace = run_concrete(p, table, seed=rng, honest=False)
     sim = learn(p, trace.transcript, eps, table, cap=cap)
 
-    dists = []
-    finals = []
-    for comp in trace.ensemble:
-        dist, final = _final_on_component(sim.simulated_state, p, comp.vector)
-        dists.append(dist)
-        finals.append(final)
+    dists, finals = zip(*(_final_on_component(sim.simulated_state, p, comp.vector)
+                          for comp in trace.ensemble))
 
     k_E = int(np.argmax(dists[0][:2]))
     components_agree = all(int(np.argmax(d[:2])) == k_E for d in dists)
@@ -334,19 +327,12 @@ def check_inequalities(p: Protocol, outcome: AttackOutcome, atol: float = 1e-9) 
     comps = art["message_components"]
     m_reg = p.message_reg()
 
-    drift = 0.0
-    support_ok = True
-    finals = []
-    dists = []
-    for comp in comps:
-        attached = _attach_component(art["simulated_state"], p, comp.vector)
-        w_before = all_weights(attached)
-        s_before = fourier_support_size(attached)
-        final = apply_program(attached, p.final_a_program, p.group, p.reg_dims())
-        drift = max(drift, float(np.max(np.abs(all_weights(final) - w_before))))
-        support_ok = support_ok and fourier_support_size(final) == s_before
-        finals.append(final)
-        dists.append(key_distribution(final, p.key_reg_a))
+    sim = art["simulated_state"]
+    w_before = all_weights(sim)
+    s_before = fourier_support_size(sim)
+    dists, finals = zip(*(_final_on_component(sim, p, comp.vector) for comp in comps))
+    drift = max(float(np.max(np.abs(all_weights(final) - w_before))) for final in finals)
+    support_ok = all(fourier_support_size(final) == s_before for final in finals)
     eq_find = min(float(d[outcome.k_E]) for d in dists)
     eq_sim, rho, posts = _repair(p, comps, finals, dists, outcome.k_E)
 

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import pcc, zoo
@@ -109,15 +109,11 @@ class ExperimentConfig:
     d: int = 2
     queries: int = 3
 
-    _FIELDS = ("mode", "trials", "seed", "out_dir", "protocol", "protocol_json",
-               "group", "n", "eps", "lam", "cap", "guess_only",
-               "force_simulated_oracle", "dump_relevant", "delta", "d", "queries")
-
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError([f"config must be a JSON object, got {type(data).__name__}"])
-        unknown = sorted(set(data) - set(cls._FIELDS))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError([f"unknown config key {k!r}" for k in unknown])
         if "mode" not in data:
@@ -241,6 +237,9 @@ def _random_table(rng, p: Protocol) -> tuple:
 
 
 def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):
+    """One attack trial: its CSV row (``seconds`` last), its (success, key
+    match, conjecture-relevant) flags, and its dump when it is relevant and
+    dumping is on.  The outcome and its states are dropped here."""
     rng = trial_rng(cfg.seed, trial)
     table = _random_table(rng, p)
     start = time.perf_counter()
@@ -250,14 +249,14 @@ def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):
         cap=cfg.cap,
         guess_only=cfg.guess_only,
         force_simulated_oracle=cfg.force_simulated_oracle,
-        keep_states=cfg.dump_relevant and not cfg.guess_only,
     )
-    return out, time.perf_counter() - start
-
-
-def _attack_row(trial: int, out, seconds: float) -> list:
-    return [trial, out.k_E, out.k_A, out.k_B, out.l_size, out.aborted,
-            out.eq_find, out.eq_simulatedm, out.eq_agrees, seconds]
+    seconds = time.perf_counter() - start
+    row = [trial, out.k_E, out.k_A, out.k_B, out.l_size, out.aborted,
+           out.eq_find, out.eq_simulatedm, out.eq_agrees, seconds]
+    dump = None
+    if cfg.dump_relevant and out.conjecture_relevant:
+        dump = _attack_dump(cfg, p, eps, trial, out)
+    return row, (out.success, out.key_match, out.conjecture_relevant), dump
 
 
 def _attack_dump(cfg: ExperimentConfig, p: Protocol, eps: float, trial: int, out) -> dict:
@@ -275,61 +274,60 @@ def _attack_dump(cfg: ExperimentConfig, p: Protocol, eps: float, trial: int, out
         "d": p.query_budget,
         "outcome": out.to_json(),
     }
-    if out.artifacts is not None:
-        dump["simulated_state"] = out.artifacts["simulated_state"].dump()
+    if not cfg.guess_only:
+        dump["simulated_state"] = out.learner.simulated_state.dump()
     return dump
 
 
 def _attack_sweep(cfg: ExperimentConfig, p: Protocol, eps: float, index: int,
                   out_dir: Path) -> dict:
-    results = _run_trials(lambda t: _attack_trial(p, cfg, eps, t), cfg.trials)
-    rows = [_attack_row(t, out, dt) for t, (out, dt) in enumerate(results)]
+    def trial(t: int):
+        row, flags, dump = _attack_trial(p, cfg, eps, t)
+        if dump is not None:
+            (out_dir / "dumps").mkdir(exist_ok=True)
+            (out_dir / "dumps" / f"trial{t}_eps{index}.json").write_text(
+                json.dumps(dump, sort_keys=True))
+        return row, flags
+
+    results = _run_trials(trial, cfg.trials)
+    rows = [row for row, _ in results]
+    success, key_match, is_relevant = zip(*(flags for _, flags in results))
     csv_name = f"trials_eps{index}.csv"
     _write_csv(out_dir / csv_name, ATTACK_COLUMNS, rows)
-    relevant = [t for t, (out, _) in enumerate(results) if out.conjecture_relevant]
-    dumped = []
-    if cfg.dump_relevant and relevant:
-        dump_dir = out_dir / "dumps"
-        dump_dir.mkdir(exist_ok=True)
-        for t in relevant:
-            out, _ = results[t]
-            name = f"trial{t}_eps{index}.json"
-            (dump_dir / name).write_text(
-                json.dumps(_attack_dump(cfg, p, eps, t, out), sort_keys=True))
-            dumped.append(name)
+    relevant = [t for t, r in enumerate(is_relevant) if r]
     n = len(rows)
     eq_sim = [r[7] for r in rows]
     eq_agr = [r[8] for r in rows]
     return {
         "eps": eps,
         "csv": csv_name,
-        "success_rate": sum(out.success for out, _ in results) / n,
-        "key_match_rate": sum(out.key_match for out, _ in results) / n,
+        "success_rate": sum(success) / n,
+        "key_match_rate": sum(key_match) / n,
         "mean_L": sum(r[4] for r in rows) / n,
         "abort_rate": sum(r[5] for r in rows) / n,
         "min_eq_find": min(r[6] for r in rows),
         "min_eq_simulatedm": None if any(math.isnan(v) for v in eq_sim) else min(eq_sim),
         "min_eq_agrees": None if any(math.isnan(v) for v in eq_agr) else min(eq_agr),
         "conjecture_relevant_trials": relevant,
-        "dumped": dumped,
+        "dumped": [f"trial{t}_eps{index}.json" for t in relevant] if cfg.dump_relevant else [],
     }
 
 
-def _learner_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):
+def _learner_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int) -> list:
+    """One learner-only trial's CSV row, ``seconds`` last."""
     rng = trial_rng(cfg.seed, trial)
     table = _random_table(rng, p)
     start = time.perf_counter()
     trace = run_concrete(p, table, seed=rng, honest=False)
     cap = cfg.cap if cfg.cap is not None else _default_cap(p, eps, cfg.lam)
     res = learn(p, trace.transcript, eps, table, cap=cap)
-    return res, time.perf_counter() - start
+    return [trial, res.queries_made, res.aborted, res.max_residual_weight,
+            time.perf_counter() - start]
 
 
 def _learner_sweep(cfg: ExperimentConfig, p: Protocol, eps: float, index: int,
                    out_dir: Path) -> dict:
-    results = _run_trials(lambda t: _learner_trial(p, cfg, eps, t), cfg.trials)
-    rows = [[t, res.queries_made, res.aborted, res.max_residual_weight, dt]
-            for t, (res, dt) in enumerate(results)]
+    rows = _run_trials(lambda t: _learner_trial(p, cfg, eps, t), cfg.trials)
     csv_name = f"trials_eps{index}.csv"
     _write_csv(out_dir / csv_name, LEARNER_COLUMNS, rows)
     n = len(rows)
@@ -342,7 +340,8 @@ def _learner_sweep(cfg: ExperimentConfig, p: Protocol, eps: float, index: int,
     }
 
 
-def _equivalence_trial(cfg: ExperimentConfig, trial: int):
+def _equivalence_trial(cfg: ExperimentConfig, trial: int) -> list:
+    """One oracle-equivalence trial's CSV row, ``seconds`` last."""
     rng = trial_rng(cfg.seed, trial)
     spec = OracleSpec(cfg.n, cfg.group_spec())
     ops = random_ops(spec, rng, cfg.queries)
@@ -350,7 +349,7 @@ def _equivalence_trial(cfg: ExperimentConfig, trial: int):
     purified = work_distribution(run_purified(spec, ops))
     averaged = averaged_fixed_distribution(spec, ops)
     tv = total_variation(purified, averaged)
-    return tv, time.perf_counter() - start
+    return [trial, tv, time.perf_counter() - start]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -390,8 +389,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             (dump_dir / "pcc_hit.json").write_text(json.dumps(hit, sort_keys=True))
             summary["hit_dump"] = "pcc_hit.json"
     else:  # oracle-equivalence
-        results = _run_trials(lambda t: _equivalence_trial(cfg, t), cfg.trials)
-        rows = [[t, tv, dt] for t, (tv, dt) in enumerate(results)]
+        rows = _run_trials(lambda t: _equivalence_trial(cfg, t), cfg.trials)
         _write_csv(out_dir / "trials.csv", EQUIV_COLUMNS, rows)
         summary["max_tv"] = max(r[1] for r in rows)
         summary["mean_tv"] = sum(r[1] for r in rows) / len(rows)
@@ -445,120 +443,126 @@ def describe(name: str, n: int = 4, group=(2,)) -> str:
                      "ciphertext as the quantum message; (3) Alice decrypts with her "
                      "secret key")
     report = validate(p)
-    for notice in report.notices:
-        lines.append(f"model note: {notice}")
+    lines.extend(f"violation: {v}" for v in report.violations)
+    lines.extend(f"model note: {notice}" for notice in report.notices)
     return "\n".join(lines)
 
 
 def _read_csv_row(path: Path, trial: int) -> dict:
+    if not path.exists():
+        raise QromlabError(f"{path} does not exist")
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         for row in reader:
-            if int(row["trial"]) == trial:
+            if row.get("trial") == str(trial):
                 return row
     raise QromlabError(f"trial {trial} not found in {path}")
 
 
-def _close(recorded: str, recomputed, integer: bool = False) -> bool:
-    if recorded == "":
-        return recomputed is None
-    if integer:
-        return int(recorded) == int(recomputed)
-    a = float(recorded)
-    b = float(recomputed)
+def _close(recorded, recomputed) -> bool:
+    """Replay's one rule: empty matches None, NaN matches NaN, anything else within 1e-9."""
+    if recorded == "" or recomputed is None:
+        return recorded == "" and recomputed is None
+    try:
+        a, b = float(recorded), float(recomputed)
+    except (TypeError, ValueError):
+        return False
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
     return abs(a - b) <= REPLAY_TOL
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise QromlabError(f"{path} is not valid JSON ({exc})") from None
+
+
+def _replay_pcc_hit(run_dir: Path) -> dict:
+    dump_path = run_dir / "dumps" / "pcc_hit.json"
+    if not dump_path.exists():
+        raise QromlabError("no hit was dumped; nothing to replay")
+    try:
+        dump = json.loads(dump_path.read_text())
+        phi = QuantumState.load(dump["state_a"])
+        psi = QuantumState.load(dump["state_b"])
+        delta, d = float(dump["delta"]), int(dump["d"])
+        recorded = dump["report_a"], dump["report_b"]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise QromlabError(f"{dump_path} is damaged ({type(exc).__name__}: {exc})") from None
+    if pcc.compatible(phi, psi):
+        raise ReplayMismatchError("dumped pair is no longer incompatible")
+    report_a = pcc.is_goodstate(phi, delta, d)
+    report_b = pcc.is_goodstate(psi, delta, d)
+    if (report_a.to_json(), report_b.to_json()) != recorded:
+        raise ReplayMismatchError("goodstate reports changed under replay")
+    return {"mode": "pcc-search", "incompatible": True,
+            "report_a": report_a.to_json(), "report_b": report_b.to_json()}
+
+
+def _sweep_block(summary: dict, sweep: int, run_dir: Path) -> tuple[float, str]:
+    """The eps and the CSV name of sweep ``sweep`` in a summary."""
+    sweeps = summary.get("sweeps")
+    if not isinstance(sweeps, list):
+        raise QromlabError(f"{run_dir}/summary.json has no list of sweeps")
+    if not 0 <= sweep < len(sweeps):
+        raise QromlabError(f"sweep index {sweep} out of range ({len(sweeps)} sweeps)")
+    block = sweeps[sweep]
+    if not (isinstance(block, dict) and isinstance(block.get("csv"), str)
+            and _is_real(block.get("eps"))):
+        raise QromlabError(f"{run_dir}/summary.json: sweep {sweep} lacks its csv name or eps")
+    return float(block["eps"]), block["csv"]
+
+
 def replay(trial: int, run_dir, sweep: int = 0) -> dict:
     """Re-derive one recorded trial and compare against the CSV row.
 
-    Raises ReplayMismatchError when any recomputed quantity differs from
-    the recorded one beyond 1e-9 (timing columns are not compared).  For
-    attack trials with a dump on disk the dumped simulated state is
-    cross-checked too.
+    The trial is re-run by the function that wrote its row, and every
+    column except ``seconds`` is compared: an empty cell matches None,
+    NaN matches NaN, anything else must agree to 1e-9.  Raises
+    ReplayMismatchError naming the columns that differ.  For attack
+    trials with a dump on disk the dump must equal a fresh one and the
+    dumped simulated state is cross-checked too.
     """
     run_dir = Path(run_dir)
-    try:
-        summary = json.loads((run_dir / "summary.json").read_text())
-    except FileNotFoundError:
+    if not (run_dir / "summary.json").exists():
         raise QromlabError(f"{run_dir} has no summary.json; not an experiment directory")
-    except json.JSONDecodeError as exc:
-        raise QromlabError(f"{run_dir}/summary.json is not valid JSON ({exc})") from None
+    summary = _read_json(run_dir / "summary.json")
     if not isinstance(summary, dict) or summary.get("mode") not in MODES or "config" not in summary:
         raise QromlabError(f"{run_dir}/summary.json lacks a known mode or the config")
     mode = summary["mode"]
     cfg = ExperimentConfig.from_json(summary["config"])
-
     if mode == "pcc-search":
-        dump_path = run_dir / "dumps" / "pcc_hit.json"
-        if not dump_path.exists():
-            raise QromlabError("no hit was dumped; nothing to replay")
-        dump = json.loads(dump_path.read_text())
-        phi = QuantumState.load(dump["state_a"])
-        psi = QuantumState.load(dump["state_b"])
-        still_incompatible = not pcc.compatible(phi, psi)
-        report_a = pcc.is_goodstate(phi, float(dump["delta"]), int(dump["d"]))
-        report_b = pcc.is_goodstate(psi, float(dump["delta"]), int(dump["d"]))
-        if not still_incompatible:
-            raise ReplayMismatchError("dumped pair is no longer incompatible")
-        if report_a.to_json() != dump["report_a"] or report_b.to_json() != dump["report_b"]:
-            raise ReplayMismatchError("goodstate reports changed under replay")
-        return {"mode": mode, "incompatible": True,
-                "report_a": report_a.to_json(), "report_b": report_b.to_json()}
+        return _replay_pcc_hit(run_dir)
 
+    extra = {}
     if mode == "oracle-equivalence":
         row = _read_csv_row(run_dir / "trials.csv", trial)
-        tv, _ = _equivalence_trial(cfg, trial)
-        if not _close(row["tv_distance"], tv):
-            raise ReplayMismatchError(
-                f"tv_distance: recorded {row['tv_distance']}, recomputed {tv!r}")
-        return {"mode": mode, "trial": trial, "tv_distance": tv}
-
-    sweeps = summary["sweeps"]
-    if not 0 <= sweep < len(sweeps):
-        raise QromlabError(f"sweep index {sweep} out of range ({len(sweeps)} sweeps)")
-    block = sweeps[sweep]
-    eps = float(block["eps"])
-    row = _read_csv_row(run_dir / block["csv"], trial)
-    p = cfg.resolve_protocol()
-
-    if mode == "learner-only":
-        res, _ = _learner_trial(p, cfg, eps, trial)
-        checks = {
-            "L_size": _close(row["L_size"], res.queries_made, integer=True),
-            "aborted": _close(row["aborted"], res.aborted, integer=True),
-            "max_residual_weight": _close(row["max_residual_weight"], res.max_residual_weight),
-        }
-        recomputed = {"L_size": res.queries_made, "aborted": res.aborted,
-                      "max_residual_weight": res.max_residual_weight}
+        columns, fresh = EQUIV_COLUMNS, _equivalence_trial(cfg, trial)
     else:
-        out, _ = _attack_trial(p, cfg, eps, trial)
-        checks = {
-            "k_E": _close(row["k_E"], out.k_E, integer=True),
-            "k_A": _close(row["k_A"], out.k_A, integer=row["k_A"] != ""),
-            "k_B": _close(row["k_B"], out.k_B, integer=True),
-            "L_size": _close(row["L_size"], out.l_size, integer=True),
-            "aborted": _close(row["aborted"], out.aborted, integer=True),
-            "eq_find": _close(row["eq_find"], out.eq_find),
-            "eq_simulatedm": _close(row["eq_simulatedm"], out.eq_simulatedm),
-            "eq_agrees": _close(row["eq_agrees"], out.eq_agrees),
-        }
-        recomputed = out.to_json()
-        dump_path = run_dir / "dumps" / f"trial{trial}_eps{sweep}.json"
-        if dump_path.exists():
-            dump = json.loads(dump_path.read_text())
-            fresh = _attack_dump(cfg, p, eps, trial, out)
-            if json.dumps(fresh, sort_keys=True) != json.dumps(dump, sort_keys=True):
-                raise ReplayMismatchError("dump content differs from a fresh re-run")
-            recomputed["dump_check"] = pcc.check_attack_dump(dump)
+        eps, csv_name = _sweep_block(summary, sweep, run_dir)
+        row = _read_csv_row(run_dir / csv_name, trial)
+        p = cfg.resolve_protocol()
+        if mode == "learner-only":
+            columns, fresh = LEARNER_COLUMNS, _learner_trial(p, cfg, eps, trial)
+        else:
+            columns = ATTACK_COLUMNS
+            fresh, _, fresh_dump = _attack_trial(p, cfg, eps, trial)
+            dump_path = run_dir / "dumps" / f"trial{trial}_eps{sweep}.json"
+            if dump_path.exists():
+                dump = _read_json(dump_path)
+                if json.dumps(fresh_dump, sort_keys=True) != json.dumps(dump, sort_keys=True):
+                    raise ReplayMismatchError("dump content differs from a fresh re-run")
+                extra["dump_check"] = pcc.check_attack_dump(dump)
 
-    bad = sorted(k for k, ok in checks.items() if not ok)
+    compared = list(zip(columns[:-1], fresh[:-1]))  # ``seconds`` is last
+    bad = [c for c, v in compared if not _close(row.get(c), v)]
     if bad:
-        raise ReplayMismatchError(
-            "recomputed values differ for: " + ", ".join(bad))
-    return {"mode": mode, "trial": trial, "recorded": dict(row), "recomputed": recomputed}
+        raise ReplayMismatchError("recomputed values differ for: " + ", ".join(bad))
+    recomputed = {c: None if isinstance(v, float) and math.isnan(v) else v for c, v in compared}
+    return {"mode": mode, "trial": trial, "recorded": dict(row),
+            "recomputed": recomputed | extra}
 
 
 def main(argv=None) -> int:

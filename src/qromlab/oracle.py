@@ -258,7 +258,7 @@ def all_weights(state: QuantumState) -> np.ndarray:
     return weights
 
 
-def fourier_support_size(state: QuantumState, threshold: float = SUPPORT_TOL) -> int:
+def fourier_support_size(state: QuantumState) -> int:
     """Largest number of non-flat cells over basis states carrying mass.
 
     Each oracle query can grow this by at most one; projecting a partial
@@ -271,7 +271,7 @@ def fourier_support_size(state: QuantumState, threshold: float = SUPPORT_TOL) ->
     axes = tuple(state.layout.axis(n) for n in live)
     other = tuple(a for a in range(state.amps.ndim) if a not in axes)
     p = np.abs(state.amps) ** 2
-    mask = p > threshold
+    mask = p > SUPPORT_TOL
     if other:
         mask = mask.any(axis=other)
     if not mask.any():
@@ -313,20 +313,16 @@ def project_partial(state: QuantumState, partial: PartialOracle) -> tuple[Quantu
     return current, prob
 
 
-def computational_support(
-    state: QuantumState,
-    threshold: float = SUPPORT_TOL,
-    max_functions: int = MAX_SUPPORT_FUNCTIONS,
-) -> set[tuple[int, ...]]:
-    """Set of full function tables carrying probability mass.
+def computational_support(state: QuantumState) -> set[tuple[int, ...]]:
+    """Set of full function tables carrying probability mass above 1e-12.
 
     Collapsed cells contribute their frozen value to every table.  The
-    enumeration is capped; use it only at desk scale.
+    enumeration is capped at 2^16 tables; use it only at desk scale.
     """
     spec = spec_of(state)
-    if spec.function_count() > max_functions:
+    if spec.function_count() > MAX_SUPPORT_FUNCTIONS:
         raise CapacityError(
-            f"{spec.function_count()} candidate tables exceed the cap {max_functions}"
+            f"{spec.function_count()} candidate tables exceed the cap {MAX_SUPPORT_FUNCTIONS}"
         )
     fourier = spec.group.fourier_matrix
     live = [n for n in spec.cell_names() if n not in state.fixed]
@@ -346,7 +342,7 @@ def computational_support(
 
     support = set()
     live_points = [int(n[1:]) for n in live]
-    for coords in np.argwhere(p > threshold):
+    for coords in np.argwhere(p > SUPPORT_TOL):
         table = [0] * spec.domain_size
         for point, value in zip(live_points, coords):
             table[point] = int(value)

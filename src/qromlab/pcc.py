@@ -27,8 +27,6 @@ from .oracle import (
 from .protocol import Protocol, run_conditioned
 from .qstate import QuantumState
 
-SUPPORT_THRESHOLD = 1e-12
-
 
 @dataclass(frozen=True)
 class GoodStateReport:
@@ -57,7 +55,7 @@ def is_goodstate(state: QuantumState, delta: float, d: int) -> GoodStateReport:
         raise DomainError(f"lightness bound must be in (0,1], got {delta}")
     if d < 0:
         raise DomainError(f"sparsity bound must be nonnegative, got {d}")
-    sparsity = fourier_support_size(state, threshold=SUPPORT_THRESHOLD)
+    sparsity = fourier_support_size(state)
     weights = all_weights(state)
     max_weight = float(weights.max()) if len(weights) else 0.0
     return GoodStateReport(
@@ -68,23 +66,24 @@ def is_goodstate(state: QuantumState, delta: float, d: int) -> GoodStateReport:
     )
 
 
+def _supports(phi: QuantumState, psi: QuantumState):
+    """Both computational supports, once each, and the oracle they share."""
+    spec = spec_of(phi)
+    if spec != spec_of(psi):
+        raise DomainError("states talk to different oracles")
+    return computational_support(phi), computational_support(psi), spec
+
+
 def compatible(phi: QuantumState, psi: QuantumState) -> bool:
     """Exact test for a shared mass-carrying function table."""
-    if spec_of(phi) != spec_of(psi):
-        raise DomainError("states talk to different oracles")
-    supp = computational_support(phi, threshold=SUPPORT_THRESHOLD)
-    return bool(supp & computational_support(psi, threshold=SUPPORT_THRESHOLD))
+    supp_phi, supp_psi, _ = _supports(phi, psi)
+    return bool(supp_phi & supp_psi)
 
 
 def support_overlap_margin(phi: QuantumState, psi: QuantumState) -> float:
     """Size of the shared support relative to the number of tables."""
-    spec = spec_of(phi)
-    if spec != spec_of(psi):
-        raise DomainError("states talk to different oracles")
-    inter = computational_support(phi, threshold=SUPPORT_THRESHOLD) & computational_support(
-        psi, threshold=SUPPORT_THRESHOLD
-    )
-    return len(inter) / spec.function_count()
+    supp_phi, supp_psi, spec = _supports(phi, psi)
+    return len(supp_phi & supp_psi) / spec.function_count()
 
 
 @dataclass
@@ -227,19 +226,17 @@ def check_attack_dump(dump: dict) -> dict:
     d = int(dump["d"])
     report_real = is_goodstate(real, delta, d)
     report_sim = is_goodstate(sim, delta, d)
-    comp = compatible(real, sim)
-    margin = support_overlap_margin(real, sim)
+    supp_real, supp_sim, spec = _supports(real, sim)
+    shared = supp_real & supp_sim
+    comp = bool(shared)
     out = {
         "compatible": comp,
-        "margin": margin,
+        "margin": len(shared) / spec.function_count(),
         "real": report_real.to_json(),
         "simulated": report_sim.to_json(),
         "both_goodstates": report_real.good and report_sim.good,
         "contradicts_conjecture": report_real.good and report_sim.good and not comp,
     }
     if "table" in dump:
-        table = tuple(int(v) for v in dump["table"])
-        supp_real = computational_support(real, threshold=SUPPORT_THRESHOLD)
-        supp_sim = computational_support(sim, threshold=SUPPORT_THRESHOLD)
-        out["table_in_both_supports"] = table in supp_real and table in supp_sim
+        out["table_in_both_supports"] = tuple(int(v) for v in dump["table"]) in shared
     return out

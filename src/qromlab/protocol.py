@@ -16,6 +16,12 @@ in two ways: against the purified oracle register (one joint pure state
 including the H cells) or against a fixed table, where a query is just a
 permutation.  Agreement of the two routes is what the oracle-model tests
 pin down.
+
+Every run of a protocol walks its rounds with the one walker ``_walk``.
+At each classical message it follows the symbols a chooser picks: one
+sampled symbol (``run_purified``, ``run_concrete``), the forced symbol
+(``run_conditioned``) or every symbol with probability at least 1e-12
+(``enumerate_branches``).  Alice's final map runs through ``final_map``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from .qstate import (
     QuantumState,
     Register,
     RegisterLayout,
+    as_permutation,
+    as_unitary,
     canonical_phase,
 )
 
@@ -239,7 +247,8 @@ class Protocol:
     def queries_by_party(self) -> dict[str, int]:
         counts = {"A": 0, "B": 0}
         for step in self.rounds:
-            counts[step.party] += sum(1 for i in step.program if isinstance(i, Query))
+            queries = sum(1 for i in step.program if isinstance(i, Query))
+            counts[step.party] = counts.get(step.party, 0) + queries
         counts["A"] += sum(1 for i in self.final_a_program if isinstance(i, Query))
         return counts
 
@@ -294,19 +303,20 @@ class Protocol:
             ),
             rounds=tuple(
                 Step(
-                    party=str(s["party"]),
+                    party=_typed(s["party"], str, "round party"),
                     program=tuple(instruction_from_json(i) for i in s["program"]),
-                    message=s.get("message"),
-                    message_kind=s.get("message_kind", "classical"),
+                    message=_optional(s, "message", str),
+                    message_kind=_typed(s.get("message_kind", "classical"), str,
+                                        "round message_kind"),
                 )
                 for s in data["rounds"]
             ),
             final_a_program=tuple(
                 instruction_from_json(i) for i in data["final_a"]["program"]
             ),
-            key_reg_a=str(data["final_a"]["key_reg"]),
-            key_reg_b=str(data["final_b"]["key_reg"]),
-            ensemble_regs=tuple(str(r) for r in data["ensemble_regs"]),
+            key_reg_a=_typed(data["final_a"]["key_reg"], str, "final_a key_reg"),
+            key_reg_b=_typed(data["final_b"]["key_reg"], str, "final_b key_reg"),
+            ensemble_regs=tuple(_typed_list(data["ensemble_regs"], str, "ensemble_regs entry")),
             query_budget=_typed(data["query_budget"], int, "query_budget"),
             alice_no_final_query=_typed(data["alice_no_final_query"], bool,
                                         "alice_no_final_query"),
@@ -410,6 +420,8 @@ def validate(p: Protocol) -> ValidationReport:
 
     seen_msgs = set()
     for i, step in enumerate(p.rounds):
+        if step.message_kind not in ("classical", "quantum"):
+            rep.violations.append(f"round {i}: unknown message kind {step.message_kind!r}")
         if step.party not in (ROLE_ALICE, ROLE_BOB):
             rep.violations.append(f"round {i}: unknown party {step.party!r}")
             continue
@@ -470,13 +482,22 @@ def validate(p: Protocol) -> ValidationReport:
 
 def _check_program(p, program, where, allowed_roles, dims, roles, rep) -> None:
     for instr in program:
-        for t in _program_targets(instr):
+        targets = _program_targets(instr)
+        for t in targets:
             if t not in dims:
                 rep.violations.append(f"{where}: unknown register {t!r}")
             elif roles[t] not in allowed_roles:
                 rep.violations.append(
                     f"{where}: register {t!r} (role {roles[t]}) is not accessible here"
                 )
+        if isinstance(instr, Gate) and all(t in dims for t in targets):
+            # resolve once, then run the checks the kernels would run
+            try:
+                kind, obj = _resolve_gate(instr, dims)
+                check = as_unitary if kind == "matrix" else as_permutation
+                check(obj, math.prod(dims[t] for t in targets))
+            except QromlabError as exc:
+                rep.violations.append(f"{where}: gate {instr.name!r} on {targets}: {exc}")
         if isinstance(instr, Query):
             if instr.y_reg in dims and dims[instr.y_reg] != p.group.order:
                 rep.violations.append(
@@ -650,22 +671,40 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(rng.choice(len(probs), p=probs))
 
 
-def _run_rounds(p, table, rng=None, forced_transcript=None):
-    state = _initial_state(p, purified=table is None)
+def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]:
+    """Walk the rounds, following at each classical message the symbols ``choose`` picks.
+
+    ``choose(state, message, position)`` sees the state before the message
+    is read and the number of symbols already sent.  Returns ``(state,
+    transcript, per-message probabilities)`` for each path, depth first.
+    A measured parent state is dropped as soon as its branches exist.
+    """
     dims = p.reg_dims()
-    transcript: list[int] = []
-    probs: list[float] = []
-    for step in p.rounds:
-        state = apply_program(state, step.program, p.group, dims, table=table)
-        if step.message is not None and step.message_kind == "classical":
-            if forced_transcript is not None:
-                sym = int(forced_transcript[len(transcript)])
-            else:
-                sym = _sample(rng, state.probabilities(step.message))
-            state, prob = state.postselect(step.message, sym)
-            transcript.append(sym)
-            probs.append(prob)
-    return state, tuple(transcript), tuple(probs)
+    done = []
+    todo = [(0, _initial_state(p, purified=table is None), (), ())]
+    while todo:
+        first, state, transcript, probs = todo.pop()
+        for r in range(first, len(p.rounds)):
+            step = p.rounds[r]
+            state = apply_program(state, step.program, p.group, dims, table=table)
+            if step.message is not None and step.message_kind == "classical":
+                # pushed last symbol first, so the first is walked first
+                for sym in reversed(choose(state, step.message, len(transcript))):
+                    child, pr = state.postselect(step.message, sym)
+                    todo.append((r + 1, child, transcript + (sym,), probs + (pr,)))
+                    del child  # the worklist holds the only reference
+                break
+        else:
+            done.append((state, transcript, probs))
+    return done
+
+
+def _leading_vector(mat: np.ndarray, what: str) -> np.ndarray:
+    """Leading left singular vector in canonical phase; ``mat`` must have rank one."""
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    if len(s) > 1 and s[1] > _PRODUCT_TOL * s[0]:
+        raise UnsupportedProtocolError(f"{what} (second singular value {s[1]:.3e})")
+    return canonical_phase(u[:, 0])
 
 
 def message_ensemble(state: QuantumState, p: Protocol) -> list[EnsembleComponent]:
@@ -693,50 +732,41 @@ def message_ensemble(state: QuantumState, p: Protocol) -> list[EnsembleComponent
             continue
         new_m = m_ax - sum(1 for a in ens_axes if a < m_ax)
         mat = np.moveaxis(sub, new_m, 0).reshape(layout.dims[m_ax], -1)
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        if len(s) > 1 and s[1] > _PRODUCT_TOL * s[0]:
-            raise UnsupportedProtocolError(
-                "message register is not pure given the ensemble registers "
-                f"(second singular value {s[1]:.3e})"
-            )
-        components.append(
-            EnsembleComponent(
-                weight=q,
-                vector=canonical_phase(u[:, 0]),
-                values=tuple(int(v) for v in values),
-            )
-        )
+        vector = _leading_vector(mat, "message register is not pure given the ensemble registers")
+        components.append(EnsembleComponent(q, vector, tuple(int(v) for v in values)))
     total = sum(c.weight for c in components)
     for c in components:
         c.weight /= total
     return components
 
 
-def _finish(p, state, table, rng, honest, transcript, probs):
-    kb_probs = state.probabilities(p.key_reg_b)
-    k_B = _sample(rng, kb_probs)
+def _sampled_run(p: Protocol, table, seed, honest: bool) -> ExecutionTrace:
+    """One sampled run, purified (table=None) or concrete: Bob's key, his
+    message ensemble and, when ``honest``, Alice's key."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    [(state, transcript, probs)] = _walk(
+        p, table, lambda s, message, _: [_sample(rng, s.probabilities(message))])
+    k_B = _sample(rng, state.probabilities(p.key_reg_b))
     state, _ = state.postselect(p.key_reg_b, k_B)
-    ensemble = message_ensemble(state, p)
-    trace = ExecutionTrace(
-        transcript=transcript,
-        transcript_probs=probs,
-        k_B=k_B,
-        ensemble=ensemble,
-    )
+    trace = ExecutionTrace(transcript, probs, k_B, message_ensemble(state, p))
     if honest:
-        final = apply_program(state, p.final_a_program, p.group, p.reg_dims(), table=table)
-        trace.k_A = _sample(rng, key_distribution(final, p.key_reg_a))
+        trace.k_A = _sample(rng, final_map(p, state, table=table)[0])
     if table is not None:
         trace.alice_state = extract_alice_state(state, p)
     return trace
 
 
-def key_distribution(state: QuantumState, key_reg: str) -> np.ndarray:
-    """Probabilities of {0, 1, bottom} for a 2- or 3-valued key register."""
-    probs = state.probabilities(key_reg)
-    out = np.zeros(3)
-    out[: len(probs)] = probs
-    return out
+def final_map(p: Protocol, state: QuantumState, table=None) -> tuple[np.ndarray, QuantumState]:
+    """Alice's final map on ``state``, purified or against ``table``.
+
+    Returns her key distribution over {0, 1, bottom} and the state after
+    the map.
+    """
+    final = apply_program(state, p.final_a_program, p.group, p.reg_dims(), table=table)
+    probs = final.probabilities(p.key_reg_a)
+    dist = np.zeros(3)
+    dist[: len(probs)] = probs
+    return dist, final
 
 
 def extract_alice_state(state: QuantumState, p: Protocol) -> QuantumState:
@@ -747,40 +777,23 @@ def extract_alice_state(state: QuantumState, p: Protocol) -> QuantumState:
     outside the model and is rejected.
     """
     side = [n for n in p.alice_side() if not state.is_fixed(n)]
-    axes = [state.layout.axis(n) for n in side]
-    da = math.prod(state.layout.dims[a] for a in axes)
-    moved = np.moveaxis(state.amps, axes, range(len(axes))).reshape(da, -1)
-    u, s, _ = np.linalg.svd(moved, full_matrices=False)
-    if len(s) > 1 and s[1] > _PRODUCT_TOL * s[0]:
-        raise UnsupportedProtocolError(
-            f"Alice's conditioned state is not pure (second singular value {s[1]:.3e})"
-        )
-    regs = [Register(n, state.layout.dim(n), state.layout.register(n).kind) for n in side]
-    layout = RegisterLayout(regs, amplitude_cap=state.layout.amplitude_cap)
-    return QuantumState.from_vector(layout, canonical_phase(u[:, 0]))
+    vector = _leading_vector(state.split(side), "Alice's conditioned state is not pure")
+    layout = RegisterLayout([state.layout.register(n) for n in side],
+                            amplitude_cap=state.layout.amplitude_cap)
+    return QuantumState.from_vector(layout, vector)
 
 
 def run_purified(p: Protocol, seed=None, honest: bool = True) -> ExecutionTrace:
     """Sample one purified execution: every party plus the oracle in one state."""
-    rng = _as_rng(seed)
-    state, transcript, probs = _run_rounds(p, None, rng=rng)
-    return _finish(p, state, None, rng, honest, transcript, probs)
+    return _sampled_run(p, None, seed, honest)
 
 
 def run_concrete(p: Protocol, table, seed=None, honest: bool = True) -> ExecutionTrace:
     """Sample one run against a fixed oracle table."""
-    rng = _as_rng(seed)
     table = tuple(int(v) for v in table)
     if len(table) != p.domain_size or any(not 0 <= v < p.group.order for v in table):
         raise DomainError("oracle table does not match the protocol's domain and range")
-    state, transcript, probs = _run_rounds(p, table, rng=rng)
-    return _finish(p, state, table, rng, honest, transcript, probs)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+    return _sampled_run(p, table, seed, honest)
 
 
 def run_conditioned(p: Protocol, transcript, table=None) -> tuple[QuantumState, float]:
@@ -794,7 +807,7 @@ def run_conditioned(p: Protocol, transcript, table=None) -> tuple[QuantumState, 
     expected = len(p.classical_messages())
     if len(transcript) != expected:
         raise DomainError(f"transcript has {len(transcript)} symbols, protocol sends {expected}")
-    state, _, probs = _run_rounds(p, table, forced_transcript=transcript)
+    [(state, _, probs)] = _walk(p, table, lambda state, message, k: [transcript[k]])
     return state, float(math.prod(probs))
 
 
@@ -808,44 +821,27 @@ class Branch:
     state: QuantumState
 
 
+def _every_symbol(state: QuantumState, message: str, _) -> list[int]:
+    probs = state.probabilities(message)
+    return [sym for sym in range(len(probs)) if probs[sym] >= _BRANCH_TOL]
+
+
 def enumerate_branches(p: Protocol, table=None) -> list[Branch]:
     """All transcript branches with their probabilities and final states."""
-
-    out: list[Branch] = []
-    dims = p.reg_dims()
-
-    def rec(state, round_idx, transcript, prob):
-        if round_idx == len(p.rounds):
-            out.append(Branch(tuple(transcript), prob, state))
-            return
-        step = p.rounds[round_idx]
-        state = apply_program(state, step.program, p.group, dims, table=table)
-        if step.message is not None and step.message_kind == "classical":
-            probs = state.probabilities(step.message)
-            for sym in range(len(probs)):
-                if probs[sym] < _BRANCH_TOL:
-                    continue
-                conditioned, pr = state.postselect(step.message, sym)
-                rec(conditioned, round_idx + 1, transcript + [sym], prob * pr)
-        else:
-            rec(state, round_idx + 1, transcript, prob)
-
-    rec(_initial_state(p, purified=table is None), 0, [], 1.0)
-    return out
+    return [Branch(transcript, float(math.prod(probs)), state)
+            for state, transcript, probs in _walk(p, table, _every_symbol)]
 
 
 def joint_distribution(p: Protocol, table=None) -> dict:
     """Exact distribution over (transcript, k_B, k_A)."""
     dist: dict = {}
-    dims = p.reg_dims()
     for branch in enumerate_branches(p, table=table):
         kb_probs = branch.state.probabilities(p.key_reg_b)
         for k_B in range(len(kb_probs)):
             if kb_probs[k_B] < _BRANCH_TOL:
                 continue
             conditioned, pr_b = branch.state.postselect(p.key_reg_b, k_B)
-            final = apply_program(conditioned, p.final_a_program, p.group, dims, table=table)
-            ka_probs = key_distribution(final, p.key_reg_a)
+            ka_probs, _ = final_map(p, conditioned, table=table)
             for k_A in range(3):
                 w = branch.probability * pr_b * float(ka_probs[k_A])
                 if w < _BRANCH_TOL:
@@ -896,5 +892,4 @@ def alice_final(p: Protocol, alice_state: QuantumState, message, table=None) -> 
     if has_query and table is None:
         raise UnsupportedProtocolError("final map queries the oracle but no table was given")
     state = alice_state.attach_register(Register(m_reg, m_dim, KIND_MESSAGE), vector=vec)
-    state = apply_program(state, p.final_a_program, p.group, p.reg_dims(), table=table)
-    return key_distribution(state, p.key_reg_a)
+    return final_map(p, state, table=table)[0]

@@ -150,7 +150,8 @@ class RegisterLayout:
         )
 
 
-def _as_unitary(u: np.ndarray, dim: int) -> np.ndarray:
+def as_unitary(u, dim: int) -> np.ndarray:
+    """``u`` as a complex array, checked to be a dim x dim unitary to 1e-10."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (dim, dim):
         raise DimensionMismatchError(f"matrix shape {u.shape} does not act on dimension {dim}")
@@ -158,6 +159,14 @@ def _as_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     if err > UNITARY_TOL:
         raise NonUnitaryError(f"matrix deviates from unitarity by {err:.3e}")
     return u
+
+
+def as_permutation(perm, block: int) -> np.ndarray:
+    """``perm`` as an int64 array, checked to be a bijection of range(block)."""
+    perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != (block,) or sorted(perm.tolist()) != list(range(block)):
+        raise DimensionMismatchError("not a permutation of the joint target space")
+    return perm
 
 
 def apply_matrix(amps: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
@@ -234,7 +243,7 @@ class QuantumState:
         axes = [self.layout.axis(t) for t in targets]
         dims = [self.layout.dims[a] for a in axes]
         block = math.prod(dims)
-        out = apply_matrix(self.amps, _as_unitary(u, block), axes)
+        out = apply_matrix(self.amps, as_unitary(u, block), axes)
         return QuantumState(self.layout, out, dict(self.fixed))
 
     def permute_basis(self, perm: np.ndarray, targets) -> "QuantumState":
@@ -246,9 +255,7 @@ class QuantumState:
         axes = [self.layout.axis(t) for t in targets]
         dims = [self.layout.dims[a] for a in axes]
         block = math.prod(dims)
-        perm = np.asarray(perm, dtype=np.int64)
-        if perm.shape != (block,) or sorted(perm.tolist()) != list(range(block)):
-            raise DimensionMismatchError("not a permutation of the joint target space")
+        perm = as_permutation(perm, block)
         moved = np.moveaxis(self.amps, axes, range(len(axes)))
         shape = moved.shape
         flat = moved.reshape(block, -1)
@@ -294,23 +301,18 @@ class QuantumState:
         fixed[name] = int(value)
         return QuantumState(self.layout.drop(name), amps.copy(), fixed), prob
 
-    def attach_register(self, reg: Register, vector=None, basis_value: int | None = None) -> "QuantumState":
-        """Tensor a fresh register in a product state onto this state.
+    def attach_register(self, reg: Register, vector) -> "QuantumState":
+        """Tensor a fresh register in the normalized state ``vector`` onto this state.
 
         The register is inserted just before the oracle block so oracle
-        cells stay last.  Exactly one of ``vector``/``basis_value`` picks
-        the register's state; default is |0>.
+        cells stay last.
         """
         if reg.name in self.layout or reg.name in self.fixed:
             raise LayoutError(f"register {reg.name!r} already present")
-        if vector is None:
-            v = np.zeros(reg.dim, dtype=np.complex128)
-            v[basis_value or 0] = 1.0
-        else:
-            v = np.asarray(vector, dtype=np.complex128).reshape(reg.dim)
-            n = np.linalg.norm(v)
-            if abs(n - 1.0) > 1e-9:
-                raise DimensionMismatchError("attached vector must be normalized")
+        v = np.asarray(vector, dtype=np.complex128).reshape(reg.dim)
+        n = np.linalg.norm(v)
+        if abs(n - 1.0) > 1e-9:
+            raise DimensionMismatchError("attached vector must be normalized")
         layout = self.layout.insert_before_oracle(reg)
         pos = layout.axis(reg.name)
         amps = np.tensordot(self.amps, v, axes=0)  # appends the new axis last
@@ -340,27 +342,26 @@ class QuantumState:
 
     # -- reductions ----------------------------------------------------
 
+    def split(self, part) -> np.ndarray:
+        """The amplitudes as a (part, rest) matrix; ``part`` lists live registers, slowest first."""
+        axes = [self.layout.axis(n) for n in part]
+        rows = math.prod(self.layout.dims[a] for a in axes)
+        return np.moveaxis(self.amps, axes, range(len(axes))).reshape(rows, -1)
+
     def partial_trace(self, keep, kept_cap: int = 4096) -> "DensityOperator":
         keep = list(keep)
-        axes = [self.layout.axis(k) for k in keep]
-        kept_dim = math.prod(self.layout.dims[a] for a in axes)
+        kept_dim = math.prod(self.layout.dim(k) for k in keep)
         if kept_dim > kept_cap:
             raise CapacityError(f"kept dimension {kept_dim} exceeds cap {kept_cap}")
-        moved = np.moveaxis(self.amps, axes, range(len(axes)))
-        mat = moved.reshape(kept_dim, -1)
-        rho = mat @ mat.conj().T
-        regs = [self.layout.register(k) for k in keep]
-        return DensityOperator(regs, rho)
+        mat = self.split(keep)
+        return DensityOperator([self.layout.register(k) for k in keep], mat @ mat.conj().T)
 
     def schmidt_spectrum(self, part_a) -> np.ndarray:
         """Singular values across the cut (part_a : everything else)."""
         part_a = [p for p in part_a if p not in self.fixed]
-        axes = [self.layout.axis(p) for p in part_a]
-        if not axes or len(axes) == len(self.layout.dims):
+        if not part_a or len(part_a) == len(self.layout.dims):
             return np.array([self.norm()])
-        da = math.prod(self.layout.dims[a] for a in axes)
-        moved = np.moveaxis(self.amps, axes, range(len(axes)))
-        return np.linalg.svd(moved.reshape(da, -1), compute_uv=False)
+        return np.linalg.svd(self.split(part_a), compute_uv=False)
 
     def schmidt_rank(self, part_a, tol: float = 1e-9) -> int:
         sv = self.schmidt_spectrum(part_a)
@@ -389,7 +390,7 @@ class QuantumState:
 class DensityOperator:
     """Mixed state over a list of registers, stored as a dense matrix."""
 
-    def __init__(self, registers, matrix: np.ndarray, check: bool = True):
+    def __init__(self, registers, matrix: np.ndarray):
         self.registers = tuple(registers)
         dim = math.prod(r.dim for r in self.registers)
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -398,8 +399,7 @@ class DensityOperator:
                 f"matrix shape {matrix.shape} does not match register dimension {dim}"
             )
         self.matrix = matrix
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def dim(self) -> int:

@@ -11,8 +11,8 @@ import pytest
 
 from qromlab import cli, zoo
 from qromlab.cli import ConfigError, ExperimentConfig
-from qromlab.errors import QromlabError, ReplayMismatchError
-from qromlab.protocol import KEY_ABORT, permutation_gate
+from qromlab.errors import ProtocolShapeError, QromlabError, ReplayMismatchError
+from qromlab.protocol import KEY_ABORT, Protocol, permutation_gate, validate
 
 
 def make_config(tmp_path, **overrides):
@@ -217,19 +217,122 @@ def test_replay_rejects_a_directory_without_a_summary(tmp_path):
         cli.replay(0, tmp_path)
 
 
-@pytest.mark.parametrize("summary", [
-    "{not json",
-    json.dumps({"config": {"mode": "attack"}}),
-    json.dumps({"mode": "attack"}),
-    json.dumps({"mode": "nope", "config": {"mode": "attack"}}),
-    json.dumps([1, 2]),
+PCC_SUMMARY = json.dumps({"mode": "pcc-search", "config": {"mode": "pcc-search"}})
+ATTACK_CONFIG = {"mode": "attack", "protocol": "announced-query"}
+
+
+def damaged(summary, hit=None, match="summary.json", id=None):
+    """A replay case: summary.json text, optional pcc_hit.json text, expected message."""
+    return pytest.param(summary, hit, match, id=id or summary)
+
+
+@pytest.mark.parametrize("summary,hit,match", [
+    damaged("{not json"),
+    damaged(json.dumps({"config": {"mode": "attack"}})),
+    damaged(json.dumps({"mode": "attack"})),
+    damaged(json.dumps({"mode": "nope", "config": {"mode": "attack"}})),
+    damaged(json.dumps([1, 2])),
+    damaged(json.dumps({"mode": "attack", "config": ATTACK_CONFIG}), id="no-sweeps"),
+    damaged(json.dumps({"mode": "attack", "config": ATTACK_CONFIG, "sweeps": [{"eps": 0.05}]}),
+            id="sweep-without-csv"),
+    damaged(json.dumps({"mode": "attack", "config": ATTACK_CONFIG,
+                        "sweeps": [{"csv": "trials_eps0.csv"}]}), id="sweep-without-eps"),
+    damaged(PCC_SUMMARY, "{oops", "pcc_hit.json", id="hit-not-json"),
+    damaged(PCC_SUMMARY, json.dumps({"state_b": {}, "delta": 0.5, "d": 2}), "pcc_hit.json",
+            id="hit-without-state_a"),
+    damaged(PCC_SUMMARY, json.dumps({"state_a": {"amps": []}, "state_b": {"amps": []},
+                                     "delta": 0.5, "d": 2}), "pcc_hit.json",
+            id="hit-state-without-layout"),
 ])
-def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary):
+def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary, hit, match):
     (tmp_path / "summary.json").write_text(summary)
-    with pytest.raises(QromlabError, match="summary.json"):
+    if hit is not None:
+        (tmp_path / "dumps").mkdir()
+        (tmp_path / "dumps" / "pcc_hit.json").write_text(hit)
+    with pytest.raises(QromlabError, match=match):
         cli.replay(0, tmp_path)
     assert cli.main(["replay", "0", str(tmp_path)]) == 1
-    assert "summary.json" in capsys.readouterr().err
+    assert match in capsys.readouterr().err
+
+
+def tamper(path, row, column, value):
+    """Overwrite one cell of a recorded CSV."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[row + 1][rows[0].index(column)] = value
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+
+
+@pytest.mark.parametrize("overrides,csv_name,column", [
+    ({"mode": "learner-only", "protocol": "merkle"}, "trials_eps0.csv", "max_residual_weight"),
+    ({"mode": "oracle-equivalence", "n": 2, "queries": 2}, "trials.csv", "tv_distance"),
+])
+def test_replay_notices_a_tampered_learner_or_equivalence_row(tmp_path, overrides, csv_name,
+                                                              column):
+    cfg = make_config(tmp_path, trials=3, **overrides)
+    cli.run_experiment(cfg)
+    report = cli.replay(1, cfg.out_dir)
+    assert report["recomputed"][column] == pytest.approx(float(report["recorded"][column]))
+    tamper(Path(cfg.out_dir) / csv_name, 1, column, "0.375")
+    with pytest.raises(ReplayMismatchError, match=column):
+        cli.replay(1, cfg.out_dir)
+
+
+def edit_round(i, **fields):
+    return lambda data: data["rounds"][i].update(fields)
+
+
+def add_to_round(i, instr):
+    return lambda data: data["rounds"][i]["program"].append(instr)
+
+
+IDENTITY_3 = [[[float(r == c), 0.0] for c in range(3)] for r in range(3)]
+STRETCH = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (edit_round(0, message_kind=3), "message_kind must be str"),
+    (edit_round(0, message_kind="telepathy"), "unknown message kind"),
+    (edit_round(1, party="C"), "unknown party 'C'"),
+    (add_to_round(0, {"op": "unitary", "name": "hadamard", "targets": ["T1"]}),
+     "hadamard acts on a single dim-2 register"),
+    (add_to_round(0, {"op": "unitary", "name": "permutation", "targets": ["YA"],
+                      "perm": [1, 1]}), "not a permutation"),
+    (add_to_round(0, {"op": "unitary", "name": "matrix", "targets": ["YA"],
+                      "matrix": IDENTITY_3}), "does not act on dimension 2"),
+    (add_to_round(0, {"op": "unitary", "name": "matrix", "targets": ["YA"],
+                      "matrix": STRETCH}), "deviates from unitarity"),
+])
+def test_bad_round_or_gate_is_a_config_error(tmp_path, capsys, edit, problem):
+    data = zoo.announced_query_protocol(4).to_json()
+    edit(data)
+    try:
+        report = validate(Protocol.from_json(data))
+    except ProtocolShapeError as exc:
+        assert problem in str(exc)
+    else:
+        assert any(problem in v for v in report.violations), report.violations
+    proto_path = tmp_path / "bad.json"
+    proto_path.write_text(json.dumps(data))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "attack", "protocol": str(proto_path), "n": 4, "trials": 1,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_describe_survives_an_unknown_party(tmp_path, capsys):
+    data = zoo.announced_query_protocol(4).to_json()
+    data["rounds"][1]["party"] = "C"
+    proto_path = tmp_path / "party_c.json"
+    proto_path.write_text(json.dumps(data))
+    assert cli.main(["describe", str(proto_path)]) == 0
+    out = capsys.readouterr().out
+    assert "round 2: party C" in out
+    assert "violation: round 1: unknown party 'C'" in out
 
 
 def test_describe_with_a_mistyped_group_is_a_config_error(capsys):

@@ -234,6 +234,24 @@ def test_mistyped_instruction_json_is_a_shape_error(instr):
         proto.Protocol.from_json(data)
 
 
+@pytest.mark.parametrize("where,key,value", [
+    ("round", "party", 1),
+    ("round", "message", 5),
+    ("round", "message_kind", 3),
+    ("final_a", "key_reg", 0),
+    ("final_b", "key_reg", None),
+    ("top", "ensemble_regs", [7]),
+    ("top", "ensemble_regs", "YB"),
+])
+def test_mistyped_round_or_register_name_is_a_shape_error(where, key, value):
+    data = tiny_protocol().to_json()
+    target = {"round": data["rounds"][0], "final_a": data["final_a"],
+              "final_b": data["final_b"], "top": data}[where]
+    target[key] = value
+    with pytest.raises(ProtocolShapeError, match=key):
+        proto.Protocol.from_json(data)
+
+
 def test_concrete_runs_are_always_correct():
     p = tiny_protocol()
     for table in all_tables():
@@ -429,3 +447,4 @@ def test_run_conditioned_forces_the_transcript():
         proto.run_conditioned(stuck, (1,))
     with pytest.raises(DomainError):
         proto.run_conditioned(p, (0, 0))
+

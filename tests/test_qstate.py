@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromlab.errors import (
     CapacityError,
@@ -171,6 +175,32 @@ def test_dump_load_roundtrip():
     assert np.allclose(s2.amps, s.amps, atol=1e-12)
     assert s2.fixed == {"H1": 1}
     assert s2.layout.names == s.layout.names
+
+
+@st.composite
+def learned_states(draw):
+    """A random state over work registers and oracle cells, some cells collapsed."""
+    q = draw(st.sampled_from([2, 3]))
+    work_dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
+    work = [Register(f"w{i}", d) for i, d in enumerate(work_dims)]
+    cells = [Register(f"H{x}", q, "oracle") for x in range(draw(st.integers(1, 3)))]
+    layout = RegisterLayout(work + cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    state = QuantumState.from_vector(layout, v / np.linalg.norm(v))
+    for cell in draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells))):
+        state, _ = state.collapse_register(cell.name, draw(st.integers(0, q - 1)))
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(learned_states())
+def test_dump_load_roundtrip_through_json_text_is_exact(state):
+    loaded = QuantumState.load(json.loads(json.dumps(state.dump())))
+    assert loaded.layout.to_json() == state.layout.to_json()
+    assert loaded.fixed == state.fixed
+    assert loaded.amps.dtype == state.amps.dtype
+    assert np.array_equal(loaded.amps, state.amps)
 
 
 def test_canonical_phase_pins_largest_entry():

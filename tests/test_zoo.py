@@ -13,7 +13,7 @@ import pytest
 
 from qromlab import protocol as proto
 from qromlab import zoo
-from qromlab.algebra import cyclic
+from qromlab.algebra import GroupSpec, cyclic
 from qromlab.errors import DomainError
 from qromlab.oracle import all_weights
 
@@ -146,6 +146,23 @@ def test_zoo_protocols_roundtrip_through_json():
         blob = json.dumps(p.to_json())
         q = proto.Protocol.from_json(json.loads(blob))
         assert q.to_json() == p.to_json(), name
+
+
+@pytest.mark.parametrize("factors", [(2,), (3,), (2, 2)])
+def test_json_text_roundtrip_keeps_the_joint_distribution(factors):
+    for name, p in zoo.standard_zoo(3, GroupSpec(factors)).items():
+        q = proto.Protocol.from_json(json.loads(json.dumps(p.to_json())))
+        assert proto.joint_distribution(q) == proto.joint_distribution(p), name
+
+
+def test_every_branch_is_the_forced_run_of_its_transcript():
+    for name, p in zoo_at(4).items():
+        branches = proto.enumerate_branches(p)
+        assert abs(sum(b.probability for b in branches) - 1.0) <= 1e-12, name
+        for branch in branches:
+            state, prob = proto.run_conditioned(p, branch.transcript)
+            assert abs(prob - branch.probability) <= 1e-12, (name, branch.transcript)
+            assert np.max(np.abs(state.amps - branch.state.amps)) <= 1e-12, name
 
 
 def test_parameter_validation():
