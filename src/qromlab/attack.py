@@ -171,7 +171,7 @@ def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
         vec = np.zeros(dim, dtype=np.complex128)
         vec[post_state.fixed[m]] = 1.0
         return DensityOperator.from_pure([Register(m, dim, KIND_MESSAGE)], vec)
-    undone = apply_program(post_state, p.final_a_program, p.group, p.reg_dims(), inverse=True)
+    undone = apply_program(post_state, p.final_a_program, p.reg_dims(), inverse=True)
     return undone.partial_trace([m])
 
 
@@ -264,7 +264,7 @@ def full_attack(
         eq_agrees = float("nan")
     else:
         eq_simulatedm, rho, _ = _repair(p, trace.ensemble, finals, dists, k_E)
-        alice_dist = alice_final(p, trace.alice_state, rho, table=table)
+        alice_dist = alice_final(p, trace.alice_state, rho)
         eq_agrees = float(alice_dist[k_E])
         k_A = int(rng.choice(3, p=alice_dist / alice_dist.sum()))
         if keep_states:
@@ -308,7 +308,7 @@ def _trace_then_uncompute(p: Protocol, post: QuantumState) -> DensityOperator:
     acc = np.zeros((p.register(m).dim,) * 2, dtype=np.complex128)
     for prob, vec in rho.eig_ensemble():
         pure = QuantumState.from_vector(layout, vec)
-        undone = apply_program(pure, p.final_a_program, p.group, p.reg_dims(), inverse=True)
+        undone = apply_program(pure, p.final_a_program, p.reg_dims(), inverse=True)
         acc += prob * undone.partial_trace([m]).matrix
     return DensityOperator([rho.registers[-1]], acc)
 
@@ -343,7 +343,7 @@ def check_inequalities(p: Protocol, outcome: AttackOutcome, atol: float = 1e-9) 
                 gap = eve_message(p, post).matrix - _trace_then_uncompute(p, post).matrix
                 order_gap = max(order_gap, float(np.max(np.abs(gap))))
     rho_gap = float(np.max(np.abs(rho.matrix - art["rho_prime"].matrix)))
-    alice_dist = alice_final(p, art["alice_state"], rho, table=outcome.table)
+    alice_dist = alice_final(p, art["alice_state"], rho)
     eq_agrees = float(alice_dist[outcome.k_E])
 
     matches = (

@@ -3,9 +3,9 @@
 Shared by the oracle-model equivalence checks, the sparsity tests and the
 compatibility search.  A circuit is an ordinary program of ``protocol``
 instructions (``Gate`` and ``Query``), run by ``protocol.apply_program``,
-the one interpreter; the same program can run against the purified oracle
-or against any fixed table, which is what makes the two-route comparisons
-possible.
+the one interpreter; the same program can start from the purified oracle
+(``oracle.init_purified``) or from any fixed table (``oracle.init_table``),
+which is what makes the two-oracle comparisons possible.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .algebra import GroupSpec
 from .errors import DomainError
 from .oracle import OracleSpec
 from .protocol import Gate, Query, apply_program, matrix_gate
-from .qstate import QuantumState, Register, RegisterLayout
+from .qstate import QuantumState, Register
 
 X_REG = "X"
 Y_REG = "Yw"
@@ -96,12 +96,12 @@ def light_random_ops(
 
 def run_purified(spec: OracleSpec, ops) -> QuantumState:
     state = qoracle.init_purified(spec, work_registers(spec))
-    return apply_program(state, ops, spec.group, _work_dims(spec))
+    return apply_program(state, ops, _work_dims(spec))
 
 
 def run_fixed(spec: OracleSpec, ops, table) -> QuantumState:
-    state = QuantumState.zero(RegisterLayout(work_registers(spec)))
-    return apply_program(state, ops, spec.group, _work_dims(spec), table=table)
+    state = qoracle.init_table(spec, work_registers(spec), table)
+    return apply_program(state, ops, _work_dims(spec))
 
 
 def work_distribution(state: QuantumState) -> np.ndarray:

@@ -260,7 +260,7 @@ def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):
 
 
 def _attack_dump(cfg: ExperimentConfig, p: Protocol, eps: float, trial: int, out) -> dict:
-    dump = {
+    return {
         "kind": "attack-trial",
         "trial": trial,
         "seed": cfg.seed,
@@ -273,10 +273,8 @@ def _attack_dump(cfg: ExperimentConfig, p: Protocol, eps: float, trial: int, out
         "delta": 1.0 - 1.0 / p.group.order,
         "d": p.query_budget,
         "outcome": out.to_json(),
+        "simulated_state": out.learner.simulated_state.dump(),
     }
-    if not cfg.guess_only:
-        dump["simulated_state"] = out.learner.simulated_state.dump()
-    return dump
 
 
 def _attack_sweep(cfg: ExperimentConfig, p: Protocol, eps: float, index: int,

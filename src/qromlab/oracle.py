@@ -15,7 +15,9 @@ come from one pass over |amps|² (see ``all_weights``).
 A learned cell is projected onto a computational value and then sliced
 out of the dense array; its value is kept in ``state.fixed``.  Weights of
 learned cells are 0 by definition and the Fourier support is counted over
-the remaining cells.
+the remaining cells.  Frozen cells serve learned points and fixed tables
+alike: a fixed table is the oracle with every cell learned (see
+``init_table``), so one query kernel runs purified and concrete states.
 """
 
 from __future__ import annotations
@@ -140,6 +142,19 @@ def init_purified(
     return QuantumState.zero(layout)
 
 
+def init_table(spec: OracleSpec, work_registers, table,
+               amplitude_cap: int = DEFAULT_AMPLITUDE_CAP) -> QuantumState:
+    """The oracle with every cell learned: work registers at |0>, cell H{x} frozen at table[x].
+
+    The one table check: a wrong length or a value outside the group is a DomainError.
+    """
+    if len(table) != spec.domain_size or any(v not in range(spec.group.order) for v in table):
+        raise DomainError("oracle table does not match the oracle's domain and range")
+    layout = RegisterLayout(work_registers, spec.group, spec.domain_size, amplitude_cap)
+    return QuantumState(layout, QuantumState.zero(layout).amps,
+                        dict(zip(spec.cell_names(), map(int, table))))
+
+
 @functools.lru_cache(maxsize=None)
 def _query_unitary(group: GroupSpec, inverse: bool) -> np.ndarray:
     """The fused query (F⊗I)·S·(F†⊗I) on the joint (y, cell) index, y slower.
@@ -167,12 +182,13 @@ def oracle_query(
     x_const: int | None = None,
     inverse: bool = False,
 ) -> QuantumState:
-    """One oracle call: |x>|y> -> |x>|y + h(x)> against the purified oracle.
+    """One oracle call: |x>|y> -> |x>|y + h(x)> against the state's oracle.
 
     The address is either a live register (``x_reg``) or a constant
     (``x_const``).  An address register may have dimension smaller than
-    the domain; it then reaches only an initial segment of it.  Learned
-    cells participate as the classical constants they collapsed to.
+    the domain; it then reaches only an initial segment of it.  Frozen
+    cells, learned points and fixed tables alike, participate as the
+    classical constants they hold.
     ``inverse`` applies the adjoint (y -> y - h(x)).
 
     Each addressed live cell takes one pass of the |Y|²×|Y|² fused
@@ -329,11 +345,9 @@ def computational_support(state: QuantumState) -> set[tuple[int, ...]]:
     rotated = state
     for cell in live:
         rotated = rotated.apply_unitary(fourier, [cell])
-    if not live:
-        table = tuple(state.fixed[spec.cell_name(x)] for x in range(spec.domain_size))
-        return {table}
     # Oracle cells sit last and in domain order, so after summing out the
-    # other axes the remaining axes are the live cells in ascending x.
+    # other axes the remaining axes are the live cells in ascending x (none
+    # for a fixed table, whose one table is read off ``fixed``).
     axes = tuple(rotated.layout.axis(n) for n in live)
     other = tuple(a for a in range(rotated.amps.ndim) if a not in axes)
     p = np.abs(rotated.amps) ** 2
@@ -343,27 +357,9 @@ def computational_support(state: QuantumState) -> set[tuple[int, ...]]:
     support = set()
     live_points = [int(n[1:]) for n in live]
     for coords in np.argwhere(p > SUPPORT_TOL):
-        table = [0] * spec.domain_size
+        table = [state.fixed.get(n, 0) for n in spec.cell_names()]
         for point, value in zip(live_points, coords):
             table[point] = int(value)
-        for x in range(spec.domain_size):
-            cell = spec.cell_name(x)
-            if cell in state.fixed:
-                table[x] = state.fixed[cell]
         support.add(tuple(table))
     return support
 
-
-def standard_query_permutation(group: GroupSpec, h, x_dim: int) -> np.ndarray:
-    """Permutation realizing |x>|y> -> |x>|y + h(x)> for a fixed table."""
-    n = group.order
-    perm = np.empty(x_dim * n, dtype=np.int64)
-    for x in range(x_dim):
-        hx = int(h[x])
-        for y in range(n):
-            perm[x * n + y] = x * n + group.add(y, hx)
-    return perm
-
-
-def constant_add_permutation(group: GroupSpec, value: int) -> np.ndarray:
-    return group.add_table[:, int(value)].copy()

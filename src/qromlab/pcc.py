@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .circuits import light_random_ops, run_purified
-from .errors import DomainError
+from .errors import DomainError, QromlabError
 from .oracle import (
     OracleSpec,
     all_weights,
@@ -216,14 +216,18 @@ def check_attack_dump(dump: dict) -> dict:
     state independently and reports whether the pair is compatible and
     whether each side passes the goodstate filter at the dumped bounds.
     A dump that is both all-good and incompatible would be a violation
-    of the compatibility conjecture at those parameters.
+    of the compatibility conjecture at those parameters.  A missing or
+    mistyped field is a QromlabError.
     """
-    p = Protocol.from_json(dump["protocol"])
-    transcript = tuple(int(t) for t in dump["transcript"])
+    try:
+        p = Protocol.from_json(dump["protocol"])
+        transcript = tuple(int(t) for t in dump["transcript"])
+        sim = QuantumState.load(dump["simulated_state"])
+        delta, d = float(dump["delta"]), int(dump["d"])
+        table = tuple(int(v) for v in dump["table"]) if "table" in dump else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise QromlabError(f"attack dump is damaged ({type(exc).__name__}: {exc})") from None
     real, _ = run_conditioned(p, transcript)
-    sim = QuantumState.load(dump["simulated_state"])
-    delta = float(dump["delta"])
-    d = int(dump["d"])
     report_real = is_goodstate(real, delta, d)
     report_sim = is_goodstate(sim, delta, d)
     supp_real, supp_sim, spec = _supports(real, sim)
@@ -237,6 +241,6 @@ def check_attack_dump(dump: dict) -> dict:
         "both_goodstates": report_real.good and report_sim.good,
         "contradicts_conjecture": report_real.good and report_sim.good and not comp,
     }
-    if "table" in dump:
-        out["table_in_both_supports"] = tuple(int(v) for v in dump["table"]) in shared
+    if table is not None:
+        out["table_in_both_supports"] = table in shared
     return out

@@ -11,10 +11,11 @@ map on her side plus the received message.
 
 Every program, a protocol round and a random circuit alike, is a sequence
 of the two instructions ``Gate`` and ``Query`` with one JSON encoding, and
-``apply_program`` is the one interpreter for it.  It runs the same program
-in two ways: against the purified oracle register (one joint pure state
-including the H cells) or against a fixed table, where a query is just a
-permutation.  Agreement of the two routes is what the oracle-model tests
+``apply_program`` is the one interpreter for it, with one query kernel
+(``oracle.oracle_query``).  A run starts from one of two initial oracle
+states: the purified oracle register (one joint pure state including the
+H cells) or a fixed table, which is that register with every cell frozen
+at its table value.  Agreement of the two is what the oracle-model tests
 pin down.
 
 Every run of a protocol walks its rounds with the one walker ``_walk``.
@@ -48,6 +49,7 @@ from .qstate import (
     as_permutation,
     as_unitary,
     canonical_phase,
+    typed,
 )
 
 ROLE_ALICE = "A"
@@ -326,12 +328,7 @@ class Protocol:
 
 
 def _typed(value, kind, what: str):
-    """``value`` unchanged when it is a ``kind`` (a bool is no int), else ProtocolShapeError."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(value, kinds) or (int in kinds and isinstance(value, bool)):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ProtocolShapeError(f"protocol JSON {what} must be {names}, got {value!r}")
-    return value
+    return typed(value, kind, "protocol JSON " + what, ProtocolShapeError)
 
 
 def _typed_list(value, kind, what: str) -> list:
@@ -586,18 +583,12 @@ def _apply_perm_with_fixed(state: QuantumState, perm: np.ndarray, targets, dims)
     return state.permute_basis(restricted, [targets[i] for i in live_pos])
 
 
-def apply_instruction(
-    state: QuantumState,
-    instr,
-    group: GroupSpec,
-    dims: dict[str, int],
-    table=None,
-    inverse: bool = False,
-) -> QuantumState:
-    """Run one instruction on a state, purified (table=None) or concrete.
+def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
+                      inverse: bool = False) -> QuantumState:
+    """Run one instruction on a state; a query asks the state's own oracle.
 
-    ``group`` is the oracle's range and ``dims`` maps every register the
-    instruction names, frozen ones included, to its dimension.
+    ``dims`` maps every register the instruction names, frozen ones
+    included, to its dimension.
     """
     if isinstance(instr, Gate):
         kind, obj = _resolve_gate(instr, dims)
@@ -608,30 +599,18 @@ def apply_instruction(
 
     if not isinstance(instr, Query):
         raise ProtocolShapeError(f"unknown instruction {instr!r}")
-
-    y, x_reg = instr.y_reg, instr.x_reg
-    if table is None:
-        return qoracle.oracle_query(
-            state, y, x_reg=x_reg, x_const=instr.x_const, inverse=inverse
-        )
-
-    if x_reg is not None and not state.is_fixed(x_reg):
-        perm = qoracle.standard_query_permutation(group, table, state.layout.dim(x_reg))
-        targets = [x_reg, y]
-    else:
-        x = instr.x_const if x_reg is None else state.fixed[x_reg]
-        perm = qoracle.constant_add_permutation(group, table[int(x)])
-        targets = [y]
-    return state.permute_basis(np.argsort(perm) if inverse else perm, targets)
+    return qoracle.oracle_query(
+        state, instr.y_reg, x_reg=instr.x_reg, x_const=instr.x_const, inverse=inverse
+    )
 
 
-def apply_program(state, program, group, dims, table=None, inverse=False):
+def apply_program(state, program, dims, inverse=False):
     """Run a program of Gate/Query instructions; ``inverse`` undoes it."""
     instrs = list(program)
     if inverse:
         instrs = instrs[::-1]
     for instr in instrs:
-        state = apply_instruction(state, instr, group, dims, table=table, inverse=inverse)
+        state = apply_instruction(state, instr, dims, inverse=inverse)
     return state
 
 
@@ -655,14 +634,14 @@ class ExecutionTrace:
     alice_state: QuantumState | None = None
 
 
-def _initial_state(p: Protocol, purified: bool) -> QuantumState:
+def _initial_state(p: Protocol, table) -> QuantumState:
     regs = [
         Register(r.name, r.dim, KIND_MESSAGE if r.role in (ROLE_TRANSCRIPT, ROLE_MESSAGE) else KIND_WORK)
         for r in p.registers
     ]
-    if purified:
+    if table is None:
         return qoracle.init_purified(p.oracle_spec(), regs, amplitude_cap=p.amplitude_cap)
-    return QuantumState.zero(RegisterLayout(regs, amplitude_cap=p.amplitude_cap))
+    return qoracle.init_table(p.oracle_spec(), regs, table, amplitude_cap=p.amplitude_cap)
 
 
 def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -681,12 +660,12 @@ def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]
     """
     dims = p.reg_dims()
     done = []
-    todo = [(0, _initial_state(p, purified=table is None), (), ())]
+    todo = [(0, _initial_state(p, table), (), ())]
     while todo:
         first, state, transcript, probs = todo.pop()
         for r in range(first, len(p.rounds)):
             step = p.rounds[r]
-            state = apply_program(state, step.program, p.group, dims, table=table)
+            state = apply_program(state, step.program, dims)
             if step.message is not None and step.message_kind == "classical":
                 # pushed last symbol first, so the first is walked first
                 for sym in reversed(choose(state, step.message, len(transcript))):
@@ -750,19 +729,19 @@ def _sampled_run(p: Protocol, table, seed, honest: bool) -> ExecutionTrace:
     state, _ = state.postselect(p.key_reg_b, k_B)
     trace = ExecutionTrace(transcript, probs, k_B, message_ensemble(state, p))
     if honest:
-        trace.k_A = _sample(rng, final_map(p, state, table=table)[0])
+        trace.k_A = _sample(rng, final_map(p, state)[0])
     if table is not None:
         trace.alice_state = extract_alice_state(state, p)
     return trace
 
 
-def final_map(p: Protocol, state: QuantumState, table=None) -> tuple[np.ndarray, QuantumState]:
-    """Alice's final map on ``state``, purified or against ``table``.
+def final_map(p: Protocol, state: QuantumState) -> tuple[np.ndarray, QuantumState]:
+    """Alice's final map on ``state``; its queries ask the state's own oracle.
 
     Returns her key distribution over {0, 1, bottom} and the state after
     the map.
     """
-    final = apply_program(state, p.final_a_program, p.group, p.reg_dims(), table=table)
+    final = apply_program(state, p.final_a_program, p.reg_dims())
     probs = final.probabilities(p.key_reg_a)
     dist = np.zeros(3)
     dist[: len(probs)] = probs
@@ -774,13 +753,15 @@ def extract_alice_state(state: QuantumState, p: Protocol) -> QuantumState:
 
     Given the transcript and the table, the two labs must sit in a
     product state; anything else means the protocol sneaks correlations
-    outside the model and is rejected.
+    outside the model and is rejected.  The result keeps the state's
+    oracle and frozen registers, so Alice's final map can query the table.
     """
     side = [n for n in p.alice_side() if not state.is_fixed(n)]
     vector = _leading_vector(state.split(side), "Alice's conditioned state is not pure")
-    layout = RegisterLayout([state.layout.register(n) for n in side],
-                            amplitude_cap=state.layout.amplitude_cap)
-    return QuantumState.from_vector(layout, vector)
+    old = state.layout
+    layout = RegisterLayout([old.register(n) for n in side], old.group, old.domain_size,
+                            old.amplitude_cap)
+    return QuantumState.from_vector(layout, vector, state.fixed)
 
 
 def run_purified(p: Protocol, seed=None, honest: bool = True) -> ExecutionTrace:
@@ -790,9 +771,6 @@ def run_purified(p: Protocol, seed=None, honest: bool = True) -> ExecutionTrace:
 
 def run_concrete(p: Protocol, table, seed=None, honest: bool = True) -> ExecutionTrace:
     """Sample one run against a fixed oracle table."""
-    table = tuple(int(v) for v in table)
-    if len(table) != p.domain_size or any(not 0 <= v < p.group.order for v in table):
-        raise DomainError("oracle table does not match the protocol's domain and range")
     return _sampled_run(p, table, seed, honest)
 
 
@@ -841,7 +819,7 @@ def joint_distribution(p: Protocol, table=None) -> dict:
             if kb_probs[k_B] < _BRANCH_TOL:
                 continue
             conditioned, pr_b = branch.state.postselect(p.key_reg_b, k_B)
-            ka_probs, _ = final_map(p, conditioned, table=table)
+            ka_probs, _ = final_map(p, conditioned)
             for k_A in range(3):
                 w = branch.probability * pr_b * float(ka_probs[k_A])
                 if w < _BRANCH_TOL:
@@ -871,25 +849,23 @@ def distribution_tv(a: dict, b: dict) -> float:
 # -- Alice's final map on a delivered message -------------------------------
 
 
-def alice_final(p: Protocol, alice_state: QuantumState, message, table=None) -> np.ndarray:
+def alice_final(p: Protocol, alice_state: QuantumState, message) -> np.ndarray:
     """Distribution over Alice's key {0, 1, bottom} given a delivered message.
 
     ``message`` is a vector or a density operator on the message register.
-    Oracle queries in the final map run against ``table``; protocols whose
-    final map needs the oracle must get one.
+    Oracle queries in the final map ask ``alice_state``'s own oracle (the
+    real table, for a state from ``extract_alice_state``); on a state
+    without one they raise LayoutError.
     """
     m_reg = p.message_reg()
     m_dim = p.register(m_reg).dim
     if isinstance(message, DensityOperator):
         dist = np.zeros(3)
         for prob, vec in message.eig_ensemble():
-            dist += prob * alice_final(p, alice_state, vec, table=table)
+            dist += prob * alice_final(p, alice_state, vec)
         return dist
     vec = np.asarray(message, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != m_dim:
         raise DomainError(f"message vector has length {len(vec)}, register wants {m_dim}")
-    has_query = any(isinstance(i, Query) for i in p.final_a_program)
-    if has_query and table is None:
-        raise UnsupportedProtocolError("final map queries the oracle but no table was given")
     state = alice_state.attach_register(Register(m_reg, m_dim, KIND_MESSAGE), vector=vec)
-    return final_map(p, state, table=table)[0]
+    return final_map(p, state)[0]

@@ -54,8 +54,8 @@ class RegisterLayout:
     """Ordered collection of named registers plus optional oracle metadata.
 
     ``group`` and ``domain_size`` describe the oracle range and domain when
-    the layout carries oracle cells; they stay None for purely classical
-    layouts (fixed-oracle runs).
+    the state talks to an oracle, live cells or frozen ones (fixed-table
+    runs); they stay None for layouts without an oracle.
     """
 
     def __init__(
@@ -140,14 +140,26 @@ class RegisterLayout:
 
     @classmethod
     def from_json(cls, data) -> "RegisterLayout":
-        regs = [Register(str(n), int(d), str(k)) for n, d, k in data["registers"]]
-        group = GroupSpec.from_json(data["group"]) if "group" in data else None
+        regs = [Register(typed(n, str, "register name"), typed(d, int, "register dim"),
+                         typed(k, str, "register kind"))
+                for n, d, k in typed(data["registers"], list, "layout registers")]
+        group, domain = data.get("group"), data.get("domain_size")
         return cls(
             regs,
-            group=group,
-            domain_size=data.get("domain_size"),
-            amplitude_cap=data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP),
+            group=None if group is None else GroupSpec.from_json(typed(group, list, "group")),
+            domain_size=None if domain is None else typed(domain, int, "domain_size"),
+            amplitude_cap=typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
+                                "amplitude_cap"),
         )
+
+
+def typed(value, kind, what: str, error=LayoutError):
+    """``value`` unchanged when it is a ``kind`` (a bool is no int), else ``error``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (int in kinds and isinstance(value, bool)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise error(f"{what} must be {names}, got {value!r}")
+    return value
 
 
 def as_unitary(u, dim: int) -> np.ndarray:
@@ -213,9 +225,6 @@ class QuantumState:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
-
-    def vector(self) -> np.ndarray:
-        return self.amps.reshape(-1)
 
     def is_fixed(self, name: str) -> bool:
         return name in self.fixed
@@ -370,7 +379,7 @@ class QuantumState:
     # -- serialization -------------------------------------------------
 
     def dump(self) -> dict:
-        flat = self.vector()
+        flat = self.amps.reshape(-1)
         entries = []
         for i in np.nonzero(np.abs(flat) > DUMP_AMP_TOL)[0]:
             a = flat[i]
@@ -379,12 +388,19 @@ class QuantumState:
 
     @classmethod
     def load(cls, data) -> "QuantumState":
+        """Inverse of ``dump``.  A mistyped field is a LayoutError; an index outside
+        the layout, a repeated index or a norm off 1 by over 1e-9 a DimensionMismatchError."""
         layout = RegisterLayout.from_json(data["layout"])
+        entries = typed(data["amps"], list, "dump amps")
+        amps = {typed(e["basis_index"], int, "basis_index"):
+                complex(*(typed(e[k], (int, float), k) for k in ("re", "im"))) for e in entries}
+        if len(amps) != len(entries) or not all(0 <= i < layout.total_dim for i in amps):
+            raise DimensionMismatchError("dump basis indices repeat or leave the layout")
         flat = np.zeros(layout.total_dim, dtype=np.complex128)
-        for e in data["amps"]:
-            flat[int(e["basis_index"])] = complex(float(e["re"]), float(e["im"]))
-        fixed = {str(k): int(v) for k, v in data.get("fixed", {}).items()}
-        return cls(layout, flat.reshape(layout.dims), fixed)
+        flat[list(amps)] = list(amps.values())
+        fixed = {typed(k, str, "fixed name"): typed(v, int, "fixed value")
+                 for k, v in typed(data.get("fixed", {}), dict, "dump fixed").items()}
+        return cls.from_vector(layout, flat, fixed)
 
 
 class DensityOperator:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qromlab import cli, zoo
+from qromlab import cli, pcc, zoo
 from qromlab.cli import ConfigError, ExperimentConfig
 from qromlab.errors import ProtocolShapeError, QromlabError, ReplayMismatchError
 from qromlab.protocol import KEY_ABORT, Protocol, permutation_gate, validate
@@ -212,6 +212,46 @@ def test_conjecture_relevant_trials_are_dumped_and_replayable(tmp_path):
         cli.replay(0, cfg.out_dir)
 
 
+def test_guess_only_dumps_replay_through_main(tmp_path, capsys):
+    proto_path = tmp_path / "flipped.json"
+    proto_path.write_text(json.dumps(broken_announced().to_json()))
+    out = tmp_path / "out"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mode": "attack", "protocol": str(proto_path), "n": 4,
+                                  "trials": 2, "seed": 11, "guess_only": True,
+                                  "out_dir": str(out)}))
+    assert cli.main(["run", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["dumped"] == ["trial0_eps0.json",
+                                                             "trial1_eps0.json"]
+    assert "simulated_state" in json.loads((out / "dumps" / "trial1_eps0.json").read_text())
+    assert cli.main(["replay", "1", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["recomputed"]["dump_check"]["compatible"]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: d.pop("simulated_state"),
+    lambda d: d.pop("transcript"),
+    lambda d: d.update(transcript="ab"),
+    lambda d: d.update(delta="loose"),
+    lambda d: d.update(d=None),
+    lambda d: d.update(protocol=3),
+    lambda d: d.update(table=[0, "x"]),
+    lambda d: d["simulated_state"]["layout"].update(registers=[["T1", "x", "message"]]),
+], ids=["no-simulated_state", "no-transcript", "transcript-text", "delta-text", "d-null",
+        "protocol-number", "table-text", "register-dim-text"])
+def test_check_attack_dump_turns_a_damaged_dump_into_an_error(tmp_path, damage):
+    proto_path = tmp_path / "flipped.json"
+    proto_path.write_text(json.dumps(broken_announced().to_json()))
+    cfg = make_config(tmp_path, protocol=str(proto_path), trials=1)
+    cli.run_experiment(cfg)
+    dump = json.loads((Path(cfg.out_dir) / "dumps" / "trial0_eps0.json").read_text())
+    assert pcc.check_attack_dump(json.loads(json.dumps(dump)))["compatible"]
+    damage(dump)
+    with pytest.raises(QromlabError):
+        pcc.check_attack_dump(dump)
+
+
 def test_replay_rejects_a_directory_without_a_summary(tmp_path):
     with pytest.raises(QromlabError, match="summary.json"):
         cli.replay(0, tmp_path)
@@ -224,6 +264,18 @@ ATTACK_CONFIG = {"mode": "attack", "protocol": "announced-query"}
 def damaged(summary, hit=None, match="summary.json", id=None):
     """A replay case: summary.json text, optional pcc_hit.json text, expected message."""
     return pytest.param(summary, hit, match, id=id or summary)
+
+
+def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None):
+    """A pcc-hit replay case whose state_a is a one-cell oracle state with these entries."""
+    layout = {"registers": [["H0", dim, "oracle"]], "group": [2], "domain_size": 1}
+    state = {"layout": layout, "fixed": fixed or {},
+             "amps": [{"basis_index": i, "re": re, "im": 0.0} for i, re in amps]}
+    good = {"layout": {"registers": [["H0", 2, "oracle"]], "group": [2], "domain_size": 1},
+            "amps": [{"basis_index": 0, "re": 1.0, "im": 0.0}]}
+    hit = json.dumps({"state_a": state, "state_b": good, "delta": 0.5, "d": 2,
+                      "report_a": {}, "report_b": {}})
+    return damaged(PCC_SUMMARY, hit, error, id=f"hit-state-{name}")
 
 
 @pytest.mark.parametrize("summary,hit,match", [
@@ -243,6 +295,14 @@ def damaged(summary, hit=None, match="summary.json", id=None):
     damaged(PCC_SUMMARY, json.dumps({"state_a": {"amps": []}, "state_b": {"amps": []},
                                      "delta": 0.5, "d": 2}), "pcc_hit.json",
             id="hit-state-without-layout"),
+    damaged_state("negative-index", "DimensionMismatchError", amps=((-1, 0.6), (0, 0.8))),
+    damaged_state("index-past-the-end", "DimensionMismatchError", amps=((2, 0.6), (0, 0.8))),
+    damaged_state("repeated-index", "DimensionMismatchError", amps=((0, 0.6), (0, 0.8))),
+    damaged_state("norm-0.61", "DimensionMismatchError", amps=((1, 0.6), (0, 0.1))),
+    damaged_state("dim-text", "LayoutError", dim="x"),
+    damaged_state("dim-float", "LayoutError", dim=2.0),
+    damaged_state("fixed-value-text", "LayoutError", fixed={"H1": "1"}),
+    damaged_state("index-float", "LayoutError", amps=((0.0, 1.0),)),
 ])
 def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary, hit, match):
     (tmp_path / "summary.json").write_text(summary)

@@ -14,15 +14,18 @@ import math
 import numpy as np
 import pytest
 
+from qromlab import circuits, zoo
 from qromlab import protocol as proto
 from qromlab.algebra import cyclic
 from qromlab.errors import (
+    DimensionMismatchError,
     DomainError,
     ProtocolShapeError,
+    QromlabError,
     UnsupportedProtocolError,
     ZeroProbabilityError,
 )
-from qromlab.oracle import init_purified
+from qromlab.oracle import OracleSpec, init_purified, init_table
 from qromlab.qstate import (
     DEFAULT_AMPLITUDE_CAP,
     KIND_MESSAGE,
@@ -372,16 +375,13 @@ def test_program_inverse_is_inverse():
         Register("M", 2, KIND_MESSAGE),
     ]
     purified = init_purified(spec, regs)
-    forward = proto.apply_program(purified, program, p.group, p.reg_dims())
-    back = proto.apply_program(forward, program, p.group, p.reg_dims(), inverse=True)
+    forward = proto.apply_program(purified, program, p.reg_dims())
+    back = proto.apply_program(forward, program, p.reg_dims(), inverse=True)
     assert np.allclose(back.amps, purified.amps, atol=1e-12)
 
-    layout = RegisterLayout(regs)
-    concrete = QuantumState.zero(layout)
-    table = (1, 1)
-    forward = proto.apply_program(concrete, program, p.group, p.reg_dims(), table=table)
-    back = proto.apply_program(forward, program, p.group, p.reg_dims(), table=table,
-                                inverse=True)
+    concrete = init_table(spec, regs, (1, 1))
+    forward = proto.apply_program(concrete, program, p.reg_dims())
+    back = proto.apply_program(forward, program, p.reg_dims(), inverse=True)
     assert np.allclose(back.amps, concrete.amps, atol=1e-12)
 
 
@@ -391,17 +391,17 @@ def test_frozen_register_steers_but_cannot_move():
     state = QuantumState.zero(layout).attach_fixed("T1", 1)
 
     bumped = proto.apply_instruction(
-        state, proto.controlled_add_gate("T1", "KA", group=cyclic(3)), p.group, p.reg_dims()
+        state, proto.controlled_add_gate("T1", "KA", group=cyclic(3)), p.reg_dims()
     )
     # T1 frozen at 1 adds 1 into KA.
     assert np.allclose(bumped.amps, np.array([0, 1, 0], dtype=complex))
 
     with pytest.raises(UnsupportedProtocolError):
         proto.apply_instruction(
-            state, proto.permutation_gate((1, 0), ("T1",)), p.group, p.reg_dims()
+            state, proto.permutation_gate((1, 0), ("T1",)), p.reg_dims()
         )
     untouched = proto.apply_instruction(
-        state, proto.permutation_gate((0, 1), ("T1",)), p.group, p.reg_dims()
+        state, proto.permutation_gate((0, 1), ("T1",)), p.reg_dims()
     )
     assert np.allclose(untouched.amps, state.amps)
 
@@ -448,3 +448,47 @@ def test_run_conditioned_forces_the_transcript():
     with pytest.raises(DomainError):
         proto.run_conditioned(p, (0, 0))
 
+
+
+@pytest.mark.parametrize("table", [(1,), (1, 0, 1), (1, 2), (-1, 0), (1, 0.5)],
+                         ids=["short", "long", "out-of-range", "negative", "fractional"])
+def test_a_bad_table_is_a_domain_error_on_every_table_route(table):
+    p = tiny_protocol()
+    runs = {
+        "run_concrete": lambda: proto.run_concrete(p, table, seed=0),
+        "run_conditioned": lambda: proto.run_conditioned(p, (1,), table=table),
+        "enumerate_branches": lambda: proto.enumerate_branches(p, table=table),
+        "joint_distribution": lambda: proto.joint_distribution(p, table=table),
+        "circuits.run_fixed": lambda: circuits.run_fixed(p.oracle_spec(), [], table),
+    }
+    for name, run in runs.items():
+        with pytest.raises(DomainError, match="oracle table"):
+            run()
+            pytest.fail(f"{name} accepted the table {table}")
+
+
+def test_a_wide_address_register_is_one_error_on_either_oracle():
+    spec = OracleSpec(2, Z2)
+    regs = [Register("X", 3), Register("Yw", 2)]
+    program = [proto.Query("Yw", x_reg="X")]
+    errors = []
+    for start in (init_purified(spec, regs), init_table(spec, regs, (1, 0))):
+        with pytest.raises(DimensionMismatchError) as caught:
+            proto.apply_program(start, program, {"X": 3, "Yw": 2})
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
+def test_alice_final_asks_the_oracle_its_state_carries():
+    p = zoo.trivial_last_message_protocol(3)
+    assert any(isinstance(i, proto.Query) for i in p.final_a_program)
+    message = np.eye(p.register(p.message_reg()).dim)[1]
+    oracle_less = QuantumState.zero(RegisterLayout(
+        [Register(n, p.register(n).dim) for n in p.alice_side()]))
+    with pytest.raises(QromlabError, match="oracle"):
+        proto.alice_final(p, oracle_less, message)
+    # the same registers beside a table answer from that table alone
+    dists = [proto.alice_final(p, init_table(p.oracle_spec(), oracle_less.layout.registers, t),
+                               message) for t in ((0, 1, 0), (0, 0, 0))]
+    assert all(d.sum() == pytest.approx(1.0) for d in dists)
+    assert not np.allclose(dists[0], dists[1])
