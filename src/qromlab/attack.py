@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedProtocolError
 from .learner import LearnerOutcome, learn
-from .oracle import all_weights, fourier_support_size
+from .oracle import all_weights, check_table, fourier_support_size
 from .protocol import (
     KEY_ABORT,
     Gate,
@@ -48,6 +48,16 @@ SIM_MESSAGE_SUFFIX = "__sim"
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Independent per-trial stream: same master seed, any trial order."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,)))
+
+
+def random_table(rng: np.random.Generator, p: Protocol) -> tuple:
+    """A uniformly random oracle table for ``p``, drawn from ``rng``."""
+    return tuple(int(v) for v in rng.integers(0, p.group.order, size=p.domain_size))
+
+
+def default_cap(p: Protocol, eps: float, lam: float) -> int:
+    """The learner's query cap when none is given: ceil(d / (lam * eps)), at least 1."""
+    return max(1, math.ceil(p.query_budget / (lam * eps)))
 
 
 @dataclass
@@ -243,9 +253,9 @@ def full_attack(
     if not 0 < lam < 1:
         raise DomainError(f"failure budget must be in (0,1), got {lam}")
     rng = np.random.default_rng(seed)
-    table = tuple(int(v) for v in table)
+    table = check_table(p.oracle_spec(), table)
     if cap is None:
-        cap = max(1, math.ceil(p.query_budget / (lam * eps)))
+        cap = default_cap(p, eps, lam)
 
     trace = run_concrete(p, table, seed=rng, honest=False)
     sim = learn(p, trace.transcript, eps, table, cap=cap)
@@ -301,13 +311,13 @@ def full_attack(
 def _trace_then_uncompute(p: Protocol, post: QuantumState) -> DensityOperator:
     """The other operator order: discard Bob's lab first, then uncompute."""
     m = p.message_reg()
-    keep = [n for n in p.alice_side() if n in post.layout and not post.is_fixed(n)]
+    keep = [n for n in p.alice_side() if n in post.layout]
     keep.append(m)
     rho = post.partial_trace(keep)
     layout = RegisterLayout(rho.registers, amplitude_cap=post.layout.amplitude_cap)
     acc = np.zeros((p.register(m).dim,) * 2, dtype=np.complex128)
     for prob, vec in rho.eig_ensemble():
-        pure = QuantumState.from_vector(layout, vec)
+        pure = QuantumState.from_vector(layout, vec, post.fixed)
         undone = apply_program(pure, p.final_a_program, p.reg_dims(), inverse=True)
         acc += prob * undone.partial_trace([m]).matrix
     return DensityOperator([rho.registers[-1]], acc)
@@ -379,13 +389,11 @@ def ind_cpa_game(scheme: QpkeScheme, trials: int, eps: float, lam: float, seed: 
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     p = ka_from_qpke(scheme)
-    order = scheme.group.order
     wins = 0
     outcomes = []
     for trial in range(trials):
         rng = trial_rng(seed, trial)
-        table = tuple(int(v) for v in rng.integers(0, order, size=scheme.domain_size))
-        out = full_attack(p, eps, lam, table, seed=rng, guess_only=True)
+        out = full_attack(p, eps, lam, random_table(rng, p), seed=rng, guess_only=True)
         wins += out.key_match
         outcomes.append(out)
     return {

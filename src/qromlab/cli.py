@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import pcc, zoo
 from .algebra import GroupSpec
-from .attack import full_attack, trial_rng
+from .attack import default_cap, full_attack, random_table, trial_rng
 from .circuits import (
     averaged_fixed_distribution,
     random_ops,
@@ -228,20 +228,12 @@ class ExperimentConfig:
         raise ConfigError([f"unknown protocol {self.protocol!r}; builtins: {known}"])
 
 
-def _default_cap(p: Protocol, eps: float, lam: float) -> int:
-    return max(1, math.ceil(p.query_budget / (lam * eps)))
-
-
-def _random_table(rng, p: Protocol) -> tuple:
-    return tuple(int(v) for v in rng.integers(0, p.group.order, size=p.domain_size))
-
-
 def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):
     """One attack trial: its CSV row (``seconds`` last), its (success, key
     match, conjecture-relevant) flags, and its dump when it is relevant and
     dumping is on.  The outcome and its states are dropped here."""
     rng = trial_rng(cfg.seed, trial)
-    table = _random_table(rng, p)
+    table = random_table(rng, p)
     start = time.perf_counter()
     out = full_attack(
         p, eps, cfg.lam, table,
@@ -314,10 +306,10 @@ def _attack_sweep(cfg: ExperimentConfig, p: Protocol, eps: float, index: int,
 def _learner_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int) -> list:
     """One learner-only trial's CSV row, ``seconds`` last."""
     rng = trial_rng(cfg.seed, trial)
-    table = _random_table(rng, p)
+    table = random_table(rng, p)
     start = time.perf_counter()
     trace = run_concrete(p, table, seed=rng, honest=False)
-    cap = cfg.cap if cfg.cap is not None else _default_cap(p, eps, cfg.lam)
+    cap = cfg.cap if cfg.cap is not None else default_cap(p, eps, cfg.lam)
     res = learn(p, trace.transcript, eps, table, cap=cap)
     return [trial, res.queries_made, res.aborted, res.max_residual_weight,
             time.perf_counter() - start]

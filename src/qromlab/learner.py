@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .oracle import PartialOracle, all_weights, project_partial
+from .oracle import PartialOracle, all_weights, check_table, project_partial
 from .protocol import Protocol, run_conditioned
 from .qstate import QuantumState
 
@@ -75,9 +75,7 @@ def learn(
     """
     if not 0 < eps < 1:
         raise DomainError(f"threshold must be in (0,1), got {eps}")
-    table = tuple(int(v) for v in table)
-    if len(table) != p.domain_size:
-        raise DomainError(f"oracle table has {len(table)} entries, domain is {p.domain_size}")
+    table = check_table(p.oracle_spec(), table)
     if cap is not None and cap < 1:
         raise DomainError(f"cap must be at least 1, got {cap}")
 

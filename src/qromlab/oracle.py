@@ -23,6 +23,7 @@ alike: a fixed table is the oracle with every cell learned (see
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,17 +143,26 @@ def init_purified(
     return QuantumState.zero(layout)
 
 
+def check_table(spec: OracleSpec, table) -> tuple[int, ...]:
+    """The one table check: ``table`` as Python ints, one per domain point.
+
+    A wrong length, a bool, a float (1.0 too) or a value outside the group
+    is a DomainError; numpy integers pass.
+    """
+    table = tuple(table)
+    if len(table) != spec.domain_size or not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and 0 <= v < spec.group.order for v in table):
+        raise DomainError("oracle table does not match the oracle's domain and range")
+    return tuple(map(int, table))
+
+
 def init_table(spec: OracleSpec, work_registers, table,
                amplitude_cap: int = DEFAULT_AMPLITUDE_CAP) -> QuantumState:
-    """The oracle with every cell learned: work registers at |0>, cell H{x} frozen at table[x].
-
-    The one table check: a wrong length or a value outside the group is a DomainError.
-    """
-    if len(table) != spec.domain_size or any(v not in range(spec.group.order) for v in table):
-        raise DomainError("oracle table does not match the oracle's domain and range")
+    """The oracle with every cell learned: work registers at |0>, cell H{x} frozen at table[x]."""
     layout = RegisterLayout(work_registers, spec.group, spec.domain_size, amplitude_cap)
     return QuantumState(layout, QuantumState.zero(layout).amps,
-                        dict(zip(spec.cell_names(), map(int, table))))
+                        dict(zip(spec.cell_names(), check_table(spec, table))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,7 +211,7 @@ def oracle_query(
     if (x_reg is None) == (x_const is None):
         raise DomainError("exactly one of x_reg / x_const must be given")
     if x_reg is not None and state.is_fixed(x_reg):
-        return oracle_query(state, y_reg, x_const=state.fixed[x_reg], inverse=inverse)
+        x_reg, x_const = None, state.fixed[x_reg]
     if state.layout.dim(y_reg) != group.order:
         raise DimensionMismatchError(
             f"query output register {y_reg!r} must have dimension {group.order}"

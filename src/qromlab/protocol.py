@@ -2,12 +2,13 @@
 
 A protocol is a register declaration plus a list of rounds.  Every round
 is a straight-line program of unitaries and oracle queries; adaptivity
-enters only through classical message registers, which are postselected
-when announced and can be read as controls afterwards.  The shape is the
-one the attack machinery expects: classical messages in both directions,
-then exactly one quantum message from Bob to Alice, with Bob's key fixed
-before that message leaves his lab and Alice's key produced by a final
-map on her side plus the received message.
+enters only through classical message registers, which are frozen at
+their symbol when announced (``collapse_register``) and can be read as
+controls afterwards.  The shape is the one the attack machinery expects:
+classical messages in both directions, then exactly one quantum message
+from Bob to Alice, with Bob's key fixed (frozen) before that message
+leaves his lab and Alice's key produced by a final map on her side plus
+the received message.
 
 Every program, a protocol round and a random circuit alike, is a sequence
 of the two instructions ``Gate`` and ``Query`` with one JSON encoding, and
@@ -296,7 +297,7 @@ class Protocol:
     def _parse_json(cls, data) -> "Protocol":
         return cls(
             name=_typed(data["name"], str, "name"),
-            group=GroupSpec.from_json(data["group"]),
+            group=GroupSpec.from_json(_typed_list(data["group"], int, "group factor")),
             domain_size=_typed(data["domain_size"], int, "domain_size"),
             registers=tuple(
                 ProtocolRegister(_typed(n, str, "register name"), _typed(d, int, "register dim"),
@@ -550,37 +551,21 @@ def _resolve_gate(gate: Gate, dims: dict[str, int]):
 def _apply_perm_with_fixed(state: QuantumState, perm: np.ndarray, targets, dims):
     """Apply a basis permutation, reading frozen registers as constants.
 
-    A frozen register may steer the permutation but never move: images
+    The permutation is restricted to the live grid, the frozen digits held
+    at their values.  A frozen register may steer it but never move: images
     must keep its value, otherwise the instruction is rejected.
     """
-    fixed_pos = {i: state.fixed[t] for i, t in enumerate(targets) if t in state.fixed}
-    if not fixed_pos:
-        return state.permute_basis(perm, targets)
-    live_pos = [i for i in range(len(targets)) if i not in fixed_pos]
-    live_dims = tuple(dims[i] for i in live_pos)
-    if not live_pos:
-        digits = tuple(fixed_pos[i] for i in range(len(targets)))
-        j = int(np.ravel_multi_index(digits, dims))
-        if int(perm[j]) != j:
-            raise UnsupportedProtocolError("permutation moves a frozen register")
+    perm = as_permutation(perm, math.prod(dims))
+    at = tuple(state.fixed.get(t, slice(None)) for t in targets)
+    grid = np.indices(dims)[(slice(None),) + at].reshape(len(dims), -1)
+    image = np.unravel_index(perm[np.ravel_multi_index(grid, dims)], dims)
+    live = [i for i, t in enumerate(targets) if t not in state.fixed]
+    if any(np.any(image[i] != at[i]) for i in range(len(targets)) if i not in live):
+        raise UnsupportedProtocolError("permutation moves a frozen register")
+    if not live:
         return state
-    total_live = math.prod(live_dims)
-    restricted = np.empty(total_live, dtype=np.int64)
-    for jl, live_digits in enumerate(np.ndindex(*live_dims)):
-        digits = [0] * len(targets)
-        for pos, v in fixed_pos.items():
-            digits[pos] = v
-        for pos, v in zip(live_pos, live_digits):
-            digits[pos] = v
-        j = int(np.ravel_multi_index(digits, dims))
-        image = np.unravel_index(int(perm[j]), dims)
-        for pos, v in fixed_pos.items():
-            if int(image[pos]) != v:
-                raise UnsupportedProtocolError("permutation moves a frozen register")
-        restricted[jl] = int(
-            np.ravel_multi_index(tuple(int(image[pos]) for pos in live_pos), live_dims)
-        )
-    return state.permute_basis(restricted, [targets[i] for i in live_pos])
+    restricted = np.ravel_multi_index([image[i] for i in live], [dims[i] for i in live])
+    return state.permute_basis(restricted, [targets[i] for i in live])
 
 
 def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
@@ -656,7 +641,8 @@ def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]
     ``choose(state, message, position)`` sees the state before the message
     is read and the number of symbols already sent.  Returns ``(state,
     transcript, per-message probabilities)`` for each path, depth first.
-    A measured parent state is dropped as soon as its branches exist.
+    Each followed symbol is frozen into its branch (``collapse_register``),
+    and a measured parent state is dropped as soon as its branches exist.
     """
     dims = p.reg_dims()
     done = []
@@ -669,7 +655,7 @@ def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]
             if step.message is not None and step.message_kind == "classical":
                 # pushed last symbol first, so the first is walked first
                 for sym in reversed(choose(state, step.message, len(transcript))):
-                    child, pr = state.postselect(step.message, sym)
+                    child, pr = state.collapse_register(step.message, sym)
                     todo.append((r + 1, child, transcript + (sym,), probs + (pr,)))
                     del child  # the worklist holds the only reference
                 break
@@ -726,7 +712,7 @@ def _sampled_run(p: Protocol, table, seed, honest: bool) -> ExecutionTrace:
     [(state, transcript, probs)] = _walk(
         p, table, lambda s, message, _: [_sample(rng, s.probabilities(message))])
     k_B = _sample(rng, state.probabilities(p.key_reg_b))
-    state, _ = state.postselect(p.key_reg_b, k_B)
+    state, _ = state.collapse_register(p.key_reg_b, k_B)
     trace = ExecutionTrace(transcript, probs, k_B, message_ensemble(state, p))
     if honest:
         trace.k_A = _sample(rng, final_map(p, state)[0])
@@ -754,14 +740,16 @@ def extract_alice_state(state: QuantumState, p: Protocol) -> QuantumState:
     Given the transcript and the table, the two labs must sit in a
     product state; anything else means the protocol sneaks correlations
     outside the model and is rejected.  The result keeps the state's
-    oracle and frozen registers, so Alice's final map can query the table.
+    oracle and frozen registers but Bob's key, so Alice's final map can
+    query the table.
     """
     side = [n for n in p.alice_side() if not state.is_fixed(n)]
     vector = _leading_vector(state.split(side), "Alice's conditioned state is not pure")
     old = state.layout
     layout = RegisterLayout([old.register(n) for n in side], old.group, old.domain_size,
                             old.amplitude_cap)
-    return QuantumState.from_vector(layout, vector, state.fixed)
+    fixed = {n: v for n, v in state.fixed.items() if n != p.key_reg_b}
+    return QuantumState.from_vector(layout, vector, fixed)
 
 
 def run_purified(p: Protocol, seed=None, honest: bool = True) -> ExecutionTrace:
@@ -818,7 +806,7 @@ def joint_distribution(p: Protocol, table=None) -> dict:
         for k_B in range(len(kb_probs)):
             if kb_probs[k_B] < _BRANCH_TOL:
                 continue
-            conditioned, pr_b = branch.state.postselect(p.key_reg_b, k_B)
+            conditioned, pr_b = branch.state.collapse_register(p.key_reg_b, k_B)
             ka_probs, _ = final_map(p, conditioned)
             for k_A in range(3):
                 w = branch.probability * pr_b * float(ka_probs[k_A])

@@ -146,7 +146,8 @@ class RegisterLayout:
         group, domain = data.get("group"), data.get("domain_size")
         return cls(
             regs,
-            group=None if group is None else GroupSpec.from_json(typed(group, list, "group")),
+            group=None if group is None else GroupSpec.from_json(
+                [typed(q, int, "group factor") for q in typed(group, list, "group")]),
             domain_size=None if domain is None else typed(domain, int, "domain_size"),
             amplitude_cap=typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
                                 "amplitude_cap"),
@@ -275,40 +276,40 @@ class QuantumState:
 
     # -- measurement ---------------------------------------------------
 
-    def postselect(self, name: str, value: int) -> tuple["QuantumState", float]:
-        """Project one register onto a stored-basis value and renormalize.
-
-        Returns the conditioned state and the branch probability.  Raises
-        ZeroProbabilityError when the branch carries less than 1e-12 of
-        the probability mass.
-        """
+    def _branch(self, name: str, value: int) -> tuple[tuple, np.ndarray, float]:
+        """Index of one stored-basis value of a live register, its renormalized
+        slice and its probability; under 1e-12 is a ZeroProbabilityError."""
         ax = self.layout.axis(name)
-        dim = self.layout.dims[ax]
-        value = int(value)
-        if not 0 <= value < dim:
+        if not 0 <= int(value) < self.layout.dims[ax]:
             raise DimensionMismatchError(f"value {value} out of range for {name!r}")
-        slicer = [slice(None)] * self.amps.ndim
-        slicer[ax] = value
-        branch = self.amps[tuple(slicer)]
-        prob = float(np.sum(np.abs(branch) ** 2))
+        index = (slice(None),) * ax + (int(value),)
+        prob = float(np.sum(np.abs(self.amps[index]) ** 2))
         if prob < ZERO_PROB_TOL:
-            raise ZeroProbabilityError(
-                f"branch {name}={value} has probability {prob:.3e}"
-            )
+            raise ZeroProbabilityError(f"branch {name}={value} has probability {prob:.3e}")
+        return index, self.amps[index] / math.sqrt(prob), prob
+
+    def postselect(self, name: str, value: int) -> tuple["QuantumState", float]:
+        """Project one register onto a stored-basis value, keeping its axis.
+
+        The axis's other slices are zeroed.  Only for a register that an
+        inverse map must later move (Alice's key, before the repair
+        uncomputes her final map); every other classical value is frozen
+        with ``collapse_register``.  Returns the state and the branch
+        probability.
+        """
+        index, branch, prob = self._branch(name, value)
         out = np.zeros_like(self.amps)
-        out[tuple(slicer)] = branch / math.sqrt(prob)
+        out[index] = branch
         return QuantumState(self.layout, out, dict(self.fixed)), prob
 
     def collapse_register(self, name: str, value: int) -> tuple["QuantumState", float]:
-        """Postselect and then slice the register out of the dense array."""
-        conditioned, prob = self.postselect(name, value)
-        ax = self.layout.axis(name)
-        slicer = [slice(None)] * conditioned.amps.ndim
-        slicer[ax] = int(value)
-        amps = conditioned.amps[tuple(slicer)]
-        fixed = dict(self.fixed)
-        fixed[name] = int(value)
-        return QuantumState(self.layout.drop(name), amps.copy(), fixed), prob
+        """Measure one register at a stored-basis value and freeze it there.
+
+        The renormalized slice becomes the state and ``fixed`` keeps the
+        value.  Returns the state and the branch probability.
+        """
+        _, branch, prob = self._branch(name, value)
+        return QuantumState(self.layout.drop(name), branch, {**self.fixed, name: int(value)}), prob
 
     def attach_register(self, reg: Register, vector) -> "QuantumState":
         """Tensor a fresh register in the normalized state ``vector`` onto this state.

@@ -12,7 +12,7 @@ from qromlab import attack as atk
 from qromlab import zoo
 from qromlab.algebra import cyclic
 from qromlab.errors import DomainError, UnsupportedProtocolError
-from qromlab.learner import LearnerOutcome
+from qromlab.learner import LearnerOutcome, learn
 from qromlab.oracle import PartialOracle
 from qromlab.protocol import (
     Protocol,
@@ -20,6 +20,7 @@ from qromlab.protocol import (
     Step,
     function_permutation,
     permutation_gate,
+    run_concrete,
     validate,
 )
 from qromlab.qstate import QuantumState, Register, RegisterLayout
@@ -258,3 +259,28 @@ def test_parameter_validation():
         atk.full_attack(p, 1.5, 0.05, (0, 0, 0, 0), seed=0)
     with pytest.raises(DomainError):
         atk.ind_cpa_game(zoo.toy_qpke(2), trials=0, eps=0.05, lam=0.05, seed=0)
+
+
+@pytest.mark.parametrize("table", [(1.5, 0, 1, 0), (1.0, 0, 1, 0), (True, 0, 1, 0), (2, 0, 1, 0),
+                                   (-1, 0, 1, 0), (1, 0, 1), (1, 0, 1, 0, 1)],
+                         ids=["fractional", "float", "bool", "out-of-range", "negative", "short",
+                              "long"])
+def test_a_bad_table_is_a_domain_error_before_any_coercion(table):
+    p = zoo.merkle_ka_protocol(4, Z2, puzzle_count=2)
+    runs = {
+        "full_attack": lambda: atk.full_attack(p, 0.05, 0.05, table, seed=0),
+        "learn": lambda: learn(p, (1, 0), 0.05, table),
+        "run_concrete": lambda: run_concrete(p, table, seed=0),
+    }
+    for name, run in runs.items():
+        with pytest.raises(DomainError, match="oracle table"):
+            run()
+            pytest.fail(f"{name} accepted the table {table}")
+
+
+def test_numpy_integer_tables_are_recorded_as_python_ints():
+    p = zoo.merkle_ka_protocol(4, Z2, puzzle_count=2)
+    out = atk.full_attack(p, 0.05, 0.05, np.array([1, 0, 1, 0]), seed=0, guess_only=True)
+    assert out.table == (1, 0, 1, 0)
+    assert all(type(v) is int for v in out.table)
+    assert learn(p, out.transcript, 0.05, np.array([1, 0, 1, 0])).learned == out.learner.learned

@@ -266,9 +266,9 @@ def damaged(summary, hit=None, match="summary.json", id=None):
     return pytest.param(summary, hit, match, id=id or summary)
 
 
-def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None):
+def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None, group=(2,)):
     """A pcc-hit replay case whose state_a is a one-cell oracle state with these entries."""
-    layout = {"registers": [["H0", dim, "oracle"]], "group": [2], "domain_size": 1}
+    layout = {"registers": [["H0", dim, "oracle"]], "group": list(group), "domain_size": 1}
     state = {"layout": layout, "fixed": fixed or {},
              "amps": [{"basis_index": i, "re": re, "im": 0.0} for i, re in amps]}
     good = {"layout": {"registers": [["H0", 2, "oracle"]], "group": [2], "domain_size": 1},
@@ -303,6 +303,7 @@ def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None):
     damaged_state("dim-float", "LayoutError", dim=2.0),
     damaged_state("fixed-value-text", "LayoutError", fixed={"H1": "1"}),
     damaged_state("index-float", "LayoutError", amps=((0.0, 1.0),)),
+    damaged_state("group-float", "LayoutError", group=(2.9,)),
 ])
 def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary, hit, match):
     (tmp_path / "summary.json").write_text(summary)
@@ -477,3 +478,14 @@ def test_out_override_beats_the_configured_directory(tmp_path, capsys):
     capsys.readouterr()
     assert (other / "summary.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_a_protocol_json_group_of_text_is_a_config_error(tmp_path, capsys):
+    data = zoo.announced_query_protocol(4).to_json()
+    data["group"] = ["2"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "attack", "protocol_json": data, "trials": 1,
+                                    "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "group factor must be int" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -52,7 +52,7 @@ def test_learn_announced_query_gets_the_announced_point():
     assert out.queries_made == 1
     assert not out.aborted
     assert out.max_residual_weight < 0.1
-    assert out.simulated_state.fixed == {"H3": 1}
+    assert out.simulated_state.fixed == {"H3": 1, "T1": 3}
 
 
 def test_learn_merkle_gets_both_puzzles_in_order():

@@ -13,10 +13,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromlab import circuits, zoo
 from qromlab import protocol as proto
-from qromlab.algebra import cyclic
+from qromlab.algebra import GroupSpec, cyclic
 from qromlab.errors import (
     DimensionMismatchError,
     DomainError,
@@ -492,3 +494,95 @@ def test_alice_final_asks_the_oracle_its_state_carries():
                                message) for t in ((0, 1, 0), (0, 0, 0))]
     assert all(d.sum() == pytest.approx(1.0) for d in dists)
     assert not np.allclose(dists[0], dists[1])
+
+
+@pytest.mark.parametrize("group", [(2,), (3,)], ids=["Z2", "Z3"])
+@pytest.mark.parametrize("name", sorted(zoo.standard_zoo(4)))
+def test_every_sent_symbol_is_a_frozen_register(name, group):
+    p = zoo.standard_zoo(4, GroupSpec(group))[name]
+    messages = p.classical_messages()
+    branches = proto.enumerate_branches(p)
+    assert branches
+    for branch in branches:
+        conditioned, _ = proto.run_conditioned(p, branch.transcript)
+        for state in (branch.state, conditioned):
+            for reg, sym in zip(messages, branch.transcript, strict=True):
+                assert state.fixed[reg] == sym
+                assert reg not in state.layout
+
+
+def looped_perm_with_fixed(state, perm, targets, dims):
+    """Reference for ``_apply_perm_with_fixed``: restrict the permutation one
+    live index at a time, with a separate all-frozen branch."""
+    fixed_pos = {i: state.fixed[t] for i, t in enumerate(targets) if t in state.fixed}
+    if not fixed_pos:
+        return state.permute_basis(perm, targets)
+    live_pos = [i for i in range(len(targets)) if i not in fixed_pos]
+    live_dims = tuple(dims[i] for i in live_pos)
+    if not live_pos:
+        j = int(np.ravel_multi_index(tuple(fixed_pos[i] for i in range(len(targets))), dims))
+        if int(perm[j]) != j:
+            raise UnsupportedProtocolError("permutation moves a frozen register")
+        return state
+    restricted = np.empty(math.prod(live_dims), dtype=np.int64)
+    for jl, live_digits in enumerate(np.ndindex(*live_dims)):
+        digits = [0] * len(targets)
+        for pos, v in fixed_pos.items():
+            digits[pos] = v
+        for pos, v in zip(live_pos, live_digits):
+            digits[pos] = v
+        image = np.unravel_index(int(perm[int(np.ravel_multi_index(digits, dims))]), dims)
+        for pos, v in fixed_pos.items():
+            if int(image[pos]) != v:
+                raise UnsupportedProtocolError("permutation moves a frozen register")
+        restricted[jl] = int(
+            np.ravel_multi_index(tuple(int(image[pos]) for pos in live_pos), live_dims)
+        )
+    return state.permute_basis(restricted, [targets[i] for i in live_pos])
+
+
+@st.composite
+def frozen_permutations(draw):
+    """(state, perm, targets, dims): a permutation of 1-3 targets of dims 2 or 3, any subset
+    of them frozen (none and all included), on a random state that also holds a bystander."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3)))
+    targets = [f"R{i}" for i in range(len(dims))]
+    frozen = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fixed = {t: int(rng.integers(d)) for t, d, f in zip(targets, dims, frozen) if f}
+    perm = rng.permutation(math.prod(dims))
+    if draw(st.booleans()):
+        # shuffle only within classes of equal frozen digits, so the call is allowed
+        digits = np.unravel_index(np.arange(len(perm)), dims)
+        key = sum((digits[i] * 3**i for i, f in enumerate(frozen) if f), np.zeros_like(perm))
+        for k in np.unique(key):
+            cls = np.nonzero(key == k)[0]
+            perm[cls] = rng.permutation(cls)
+    live = [Register(t, d) for t, d in zip(targets, dims) if t not in fixed]
+    regs = [live[i] for i in rng.permutation(len(live))] + [Register("W", 2)]
+    layout = RegisterLayout(regs)
+    v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    return QuantumState.from_vector(layout, v / np.linalg.norm(v), fixed), perm, targets, dims
+
+
+@settings(max_examples=150, deadline=None)
+@given(frozen_permutations())
+def test_vectorized_restriction_equals_the_looped_one(case):
+    state, perm, targets, dims = case
+    try:
+        expect = looped_perm_with_fixed(state, perm, targets, dims)
+    except UnsupportedProtocolError:
+        with pytest.raises(UnsupportedProtocolError):
+            proto._apply_perm_with_fixed(state, perm, targets, dims)
+        return
+    got = proto._apply_perm_with_fixed(state, perm, targets, dims)
+    assert got.layout.names == expect.layout.names and got.fixed == expect.fixed
+    assert np.array_equal(got.amps, expect.amps)
+
+
+@pytest.mark.parametrize("group", [["2"], [2.9], [True], [2.0], "2"])
+def test_a_mistyped_group_factor_is_a_shape_error(group):
+    data = tiny_protocol().to_json()
+    data["group"] = group
+    with pytest.raises(ProtocolShapeError, match="group factor"):
+        proto.Protocol.from_json(data)

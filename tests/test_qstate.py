@@ -215,3 +215,11 @@ def test_rename_register():
     s = QuantumState.zero(two_qubits())
     s2 = s.rename_register("b", "msg")
     assert s2.layout.names == ("a", "msg")
+
+
+@pytest.mark.parametrize("group", [[2.9], ["2"], [True], 2])
+def test_load_rejects_a_mistyped_group_factor(group):
+    data = QuantumState.zero(RegisterLayout([Register("H0", 2, "oracle")], domain_size=1)).dump()
+    data["layout"]["group"] = group
+    with pytest.raises(LayoutError, match="group"):
+        QuantumState.load(data)
