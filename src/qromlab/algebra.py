@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, typed
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,10 @@ class GroupSpec:
         return list(self.factors)
 
     @classmethod
-    def from_json(cls, data) -> "GroupSpec":
-        return cls(tuple(int(q) for q in data))
+    def from_json(cls, data, error=DomainError) -> "GroupSpec":
+        """Inverse of ``to_json``; a factor that is not an int (a bool included) is ``error``."""
+        return cls(tuple(typed(q, int, "group factor", error)
+                         for q in typed(data, list, "group factors", error)))
 
 
 def cyclic(n: int) -> GroupSpec:

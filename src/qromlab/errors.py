@@ -39,3 +39,12 @@ class UnsupportedProtocolError(QromlabError):
 
 class ReplayMismatchError(QromlabError):
     """A recomputed quantity disagrees with the recorded one."""
+
+
+def typed(value, kind, what: str, error=LayoutError):
+    """``value`` unchanged when it is a ``kind`` (a bool is no int), else ``error``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (int in kinds and isinstance(value, bool)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise error(f"{what} must be {names}, got {value!r}")
+    return value

@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     LayoutError,
+    UnsupportedProtocolError,
     ZeroProbabilityError,
 )
 from .qstate import (
@@ -212,6 +213,8 @@ def oracle_query(
         raise DomainError("exactly one of x_reg / x_const must be given")
     if x_reg is not None and state.is_fixed(x_reg):
         x_reg, x_const = None, state.fixed[x_reg]
+    if state.is_fixed(y_reg):
+        raise UnsupportedProtocolError(f"a query would write the frozen register {y_reg!r}")
     if state.layout.dim(y_reg) != group.order:
         raise DimensionMismatchError(
             f"query output register {y_reg!r} must have dimension {group.order}"

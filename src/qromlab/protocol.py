@@ -3,12 +3,13 @@
 A protocol is a register declaration plus a list of rounds.  Every round
 is a straight-line program of unitaries and oracle queries; adaptivity
 enters only through classical message registers, which are frozen at
-their symbol when announced (``collapse_register``) and can be read as
-controls afterwards.  The shape is the one the attack machinery expects:
-classical messages in both directions, then exactly one quantum message
-from Bob to Alice, with Bob's key fixed (frozen) before that message
-leaves his lab and Alice's key produced by a final map on her side plus
-the received message.
+their symbol when announced (``collapse_register``): later gates and
+queries read them as constants, and writing one is a validation
+violation.  The shape is the one the attack machinery expects: classical
+messages in both directions, then exactly one quantum message from Bob to
+Alice, with Bob's key fixed (frozen) before that message leaves his lab
+and Alice's key produced by a final map on her side plus the received
+message.
 
 Every program, a protocol round and a random circuit alike, is a sequence
 of the two instructions ``Gate`` and ``Query`` with one JSON encoding, and
@@ -37,12 +38,13 @@ import numpy as np
 
 from . import oracle as qoracle
 from .algebra import GroupSpec, cyclic
-from .errors import DomainError, ProtocolShapeError, QromlabError, UnsupportedProtocolError
+from .errors import DomainError, ProtocolShapeError, QromlabError, UnsupportedProtocolError, typed
 from .oracle import OracleSpec
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
     KIND_MESSAGE,
     KIND_WORK,
+    UNITARY_TOL,
     DensityOperator,
     QuantumState,
     Register,
@@ -50,7 +52,6 @@ from .qstate import (
     as_permutation,
     as_unitary,
     canonical_phase,
-    typed,
 )
 
 ROLE_ALICE = "A"
@@ -297,7 +298,7 @@ class Protocol:
     def _parse_json(cls, data) -> "Protocol":
         return cls(
             name=_typed(data["name"], str, "name"),
-            group=GroupSpec.from_json(_typed_list(data["group"], int, "group factor")),
+            group=GroupSpec.from_json(data["group"], ProtocolShapeError),
             domain_size=_typed(data["domain_size"], int, "domain_size"),
             registers=tuple(
                 ProtocolRegister(_typed(n, str, "register name"), _typed(d, int, "register dim"),
@@ -432,15 +433,17 @@ def validate(p: Protocol) -> ValidationReport:
                 rep.violations.append(
                     f"round {i}: transcript register {step.message!r} announced twice"
                 )
-            seen_msgs.add(step.message)
         allowed = {ROLE_TRANSCRIPT}
         allowed.add(ROLE_ALICE if step.party == ROLE_ALICE else ROLE_BOB)
         if step.party == ROLE_BOB:
             allowed.add(ROLE_MESSAGE)
-        _check_program(p, step.program, f"round {i}", allowed, dims, roles, rep)
+        _check_program(p, step.program, f"round {i}", allowed, dims, roles, rep, seen_msgs)
+        if step.message is not None and step.message_kind == "classical":
+            seen_msgs.add(step.message)
 
     final_allowed = {ROLE_ALICE, ROLE_TRANSCRIPT, ROLE_MESSAGE}
-    _check_program(p, p.final_a_program, "final map", final_allowed, dims, roles, rep)
+    _check_program(p, p.final_a_program, "final map", final_allowed, dims, roles, rep,
+                   seen_msgs)
 
     final_queries = sum(1 for i in p.final_a_program if isinstance(i, Query))
     if p.alice_no_final_query and final_queries:
@@ -467,8 +470,8 @@ def validate(p: Protocol) -> ValidationReport:
                 f"key register {key_reg!r} must be a dim-2 or dim-3 register of role {role}"
             )
     for r in p.ensemble_regs:
-        if r not in dims or roles[r] != ROLE_BOB:
-            rep.violations.append(f"ensemble register {r!r} must belong to Bob")
+        if r not in dims or roles[r] != ROLE_BOB or r == p.key_reg_b:
+            rep.violations.append(f"ensemble register {r!r} must be Bob's, and not his key")
 
     total = math.prod(dims.values()) * p.group.order**p.domain_size
     if total > p.amplitude_cap:
@@ -478,7 +481,9 @@ def validate(p: Protocol) -> ValidationReport:
     return rep
 
 
-def _check_program(p, program, where, allowed_roles, dims, roles, rep) -> None:
+def _check_program(p, program, where, allowed_roles, dims, roles, rep, announced) -> None:
+    """Append the violations of one program; ``announced`` registers are frozen
+    by then, so the program may read them but never change them."""
     for instr in program:
         targets = _program_targets(instr)
         for t in targets:
@@ -496,7 +501,15 @@ def _check_program(p, program, where, allowed_roles, dims, roles, rep) -> None:
                 check(obj, math.prod(dims[t] for t in targets))
             except QromlabError as exc:
                 rep.violations.append(f"{where}: gate {instr.name!r} on {targets}: {exc}")
+            else:
+                frozen = [i for i, t in enumerate(targets) if t in announced]
+                if frozen and _moves(kind, obj, tuple(dims[t] for t in targets), frozen):
+                    rep.violations.append(
+                        f"{where}: gate {instr.name!r} changes an announced register")
         if isinstance(instr, Query):
+            if instr.y_reg in announced:
+                rep.violations.append(
+                    f"{where}: query writes the announced register {instr.y_reg!r}")
             if instr.y_reg in dims and dims[instr.y_reg] != p.group.order:
                 rep.violations.append(
                     f"{where}: query output register {instr.y_reg!r} has the wrong dimension"
@@ -508,6 +521,16 @@ def _check_program(p, program, where, allowed_roles, dims, roles, rep) -> None:
                     )
             if instr.x_const is not None and not 0 <= instr.x_const < p.domain_size:
                 rep.violations.append(f"{where}: query address {instr.x_const} out of range")
+
+
+def _moves(kind: str, obj: np.ndarray, tdims, positions) -> bool:
+    """Whether a resolved gate on registers of ``tdims`` changes a digit at ``positions``."""
+    digits = np.indices(tdims).reshape(len(tdims), -1)
+    if kind == "perm":
+        image = np.unravel_index(obj, tdims)
+        return any(np.any(image[i] != digits[i]) for i in positions)
+    reach = np.abs(obj) > UNITARY_TOL  # rows are images, columns inputs
+    return any(np.any(reach & (digits[i][:, None] != digits[i])) for i in positions)
 
 
 # -- instruction application ----------------------------------------------
@@ -555,17 +578,36 @@ def _apply_perm_with_fixed(state: QuantumState, perm: np.ndarray, targets, dims)
     at their values.  A frozen register may steer it but never move: images
     must keep its value, otherwise the instruction is rejected.
     """
+    live = [i for i, t in enumerate(targets) if t not in state.fixed]
+    if len(live) == len(targets):
+        return state.permute_basis(perm, targets)
     perm = as_permutation(perm, math.prod(dims))
     at = tuple(state.fixed.get(t, slice(None)) for t in targets)
     grid = np.indices(dims)[(slice(None),) + at].reshape(len(dims), -1)
     image = np.unravel_index(perm[np.ravel_multi_index(grid, dims)], dims)
-    live = [i for i, t in enumerate(targets) if t not in state.fixed]
     if any(np.any(image[i] != at[i]) for i in range(len(targets)) if i not in live):
         raise UnsupportedProtocolError("permutation moves a frozen register")
     if not live:
         return state
     restricted = np.ravel_multi_index([image[i] for i in live], [dims[i] for i in live])
     return state.permute_basis(restricted, [targets[i] for i in live])
+
+
+def _apply_matrix_with_fixed(state: QuantumState, u: np.ndarray, targets, dims):
+    """Apply a unitary, reading frozen registers as constants.
+
+    The matrix is restricted to the block at the frozen digits.  A frozen
+    register may steer it but never move: if any amplitude would leave the
+    block, the instruction is rejected.
+    """
+    live = [t for t in targets if t not in state.fixed]
+    if len(live) < len(targets):
+        at = tuple(state.fixed.get(t, slice(None)) for t in targets)
+        block = math.prod(d for t, d in zip(targets, dims) if t in live)
+        u = as_unitary(u, math.prod(dims)).reshape(dims + dims)[at + at].reshape(block, block)
+        if np.abs(np.linalg.norm(u, axis=0) - 1).max() > UNITARY_TOL:
+            raise UnsupportedProtocolError("matrix moves a frozen register")
+    return state.apply_unitary(u, live)
 
 
 def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
@@ -577,10 +619,12 @@ def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
     """
     if isinstance(instr, Gate):
         kind, obj = _resolve_gate(instr, dims)
+        tdims = tuple(dims[t] for t in instr.targets)
         if kind == "matrix":
-            return state.apply_unitary(obj.conj().T if inverse else obj, instr.targets)
+            return _apply_matrix_with_fixed(state, obj.conj().T if inverse else obj,
+                                            instr.targets, tdims)
         return _apply_perm_with_fixed(state, np.argsort(obj) if inverse else obj, instr.targets,
-                                      tuple(dims[t] for t in instr.targets))
+                                      tdims)
 
     if not isinstance(instr, Query):
         raise ProtocolShapeError(f"unknown instruction {instr!r}")

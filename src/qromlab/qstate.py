@@ -21,6 +21,7 @@ from .errors import (
     LayoutError,
     NonUnitaryError,
     ZeroProbabilityError,
+    typed,
 )
 
 DEFAULT_AMPLITUDE_CAP = 2**24
@@ -146,21 +147,11 @@ class RegisterLayout:
         group, domain = data.get("group"), data.get("domain_size")
         return cls(
             regs,
-            group=None if group is None else GroupSpec.from_json(
-                [typed(q, int, "group factor") for q in typed(group, list, "group")]),
+            group=None if group is None else GroupSpec.from_json(group, LayoutError),
             domain_size=None if domain is None else typed(domain, int, "domain_size"),
             amplitude_cap=typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
                                 "amplitude_cap"),
         )
-
-
-def typed(value, kind, what: str, error=LayoutError):
-    """``value`` unchanged when it is a ``kind`` (a bool is no int), else ``error``."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(value, kinds) or (int in kinds and isinstance(value, bool)):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise error(f"{what} must be {names}, got {value!r}")
-    return value
 
 
 def as_unitary(u, dim: int) -> np.ndarray:

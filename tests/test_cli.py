@@ -489,3 +489,15 @@ def test_a_protocol_json_group_of_text_is_a_config_error(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     assert "group factor must be int" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_protocol_json_that_rewrites_a_sent_symbol_is_a_config_error(tmp_path, capsys):
+    data = zoo.announced_query_protocol(4).to_json()
+    data["rounds"][1]["program"].insert(0, {"op": "unitary", "name": "fourier",
+                                            "targets": ["T1"]})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "attack", "protocol_json": data, "trials": 1,
+                                    "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "changes an announced register" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -580,6 +580,109 @@ def test_vectorized_restriction_equals_the_looped_one(case):
     assert np.array_equal(got.amps, expect.amps)
 
 
+def random_unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+@st.composite
+def frozen_unitaries(draw):
+    """(state, u, targets, dims, frozen): a unitary of 1-3 targets of dims 2 or 3, any subset
+    of them frozen, on a random state with a bystander; half of the draws keep every
+    frozen digit, so the call is allowed."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3)))
+    targets = [f"R{i}" for i in range(len(dims))]
+    flags = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frozen = {t: int(rng.integers(d)) for t, d, f in zip(targets, dims, flags) if f}
+    u = random_unitary(rng, math.prod(dims))
+    if draw(st.booleans()):
+        digits = np.unravel_index(np.arange(len(u)), dims)
+        key = sum((digits[i] * 3**i for i, f in enumerate(flags) if f), np.zeros(len(u), int))
+        u = np.zeros_like(u)
+        for k in np.unique(key):
+            cls = np.nonzero(key == k)[0]
+            u[np.ix_(cls, cls)] = random_unitary(rng, len(cls))
+    live = [Register(t, d) for t, d in zip(targets, dims) if t not in frozen]
+    layout = RegisterLayout(live + [Register("W", 2)])
+    v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    state = QuantumState.from_vector(layout, v / np.linalg.norm(v))
+    return state, u, targets, dims, frozen
+
+
+@settings(max_examples=100, deadline=None)
+@given(frozen_unitaries())
+def test_a_matrix_on_frozen_registers_equals_the_matrix_on_one_hot_axes(case):
+    state, u, targets, dims, frozen = case
+    # reference: each frozen register as a live axis at its value, the full matrix applied
+    wide = state
+    for t, d in zip(targets, dims):
+        if t in frozen:
+            wide = wide.attach_register(Register(t, d), np.eye(d)[frozen[t]])
+    wide = wide.apply_unitary(u, targets)
+    leaked = any(wide.probabilities(t)[frozen[t]] < 1 - 1e-9 for t in frozen)
+    frozen_state = dataclasses.replace(state, fixed=dict(frozen))
+    if leaked:
+        with pytest.raises(UnsupportedProtocolError):
+            proto._apply_matrix_with_fixed(frozen_state, u, targets, dims)
+        return
+    for t in frozen:
+        wide, _ = wide.collapse_register(t, frozen[t])
+    got = proto._apply_matrix_with_fixed(frozen_state, u, targets, dims)
+    assert got.fixed == wide.fixed
+    assert np.allclose(got.split(state.layout.names), wide.split(state.layout.names))
+
+
+def controlled_hadamard():
+    """On (control, target): a Hadamard on the target when the control is 1."""
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), h]])
+
+
+def test_a_matrix_gate_reads_an_announced_register_as_a_control():
+    # Alice decodes M in the basis named by T1: on T1 = 1 the copy is Hadamard-rotated,
+    # so her compare keeps Bob's key half the time and aborts otherwise
+    p = tiny_protocol()
+    p = dataclasses.replace(p, final_a_program=(
+        proto.matrix_gate(controlled_hadamard(), ("T1", "M")),) + p.final_a_program)
+    assert proto.validate(p).ok
+    dist = proto.joint_distribution(p)
+    expect = {((0,), 0, 0): 0.25, ((0,), 1, 1): 0.25, ((1,), 0, 0): 0.125,
+              ((1,), 0, 2): 0.125, ((1,), 1, 1): 0.125, ((1,), 1, 2): 0.125}
+    assert set(dist) == set(expect)
+    assert all(dist[k] == pytest.approx(w) for k, w in expect.items())
+    for table in all_tables():
+        trace = proto.run_concrete(p, table, seed=4)
+        assert trace.alice_state.fixed["T1"] == trace.transcript[0]
+        got = proto.alice_final(p, trace.alice_state, np.eye(2)[trace.k_B])
+        k = table[trace.transcript[0]]
+        want = np.eye(3)[k] if trace.transcript == (0,) else (np.eye(3)[k] + np.eye(3)[2]) / 2
+        assert np.allclose(got, want)
+
+
+@pytest.mark.parametrize("where, instr", [
+    ("round", proto.hadamard_gate("T1")),
+    ("round", proto.Query("T1", x_const=0)),
+    ("round", proto.controlled_add_gate("YB", "T1")),
+    ("final", proto.matrix_gate(np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)), ("T1", "M"))),
+], ids=["hadamard", "query-output", "controlled-add", "matrix"])
+def test_validate_reports_a_write_to_an_announced_register(where, instr):
+    p = tiny_protocol()
+    if where == "round":
+        bob = dataclasses.replace(p.rounds[1], program=(instr,) + p.rounds[1].program)
+        p = dataclasses.replace(p, rounds=(p.rounds[0], bob), query_budget=2)
+    else:
+        p = dataclasses.replace(p, final_a_program=(instr,) + p.final_a_program)
+    rep = proto.validate(p)
+    assert any("announced register" in v for v in rep.violations)
+    with pytest.raises(UnsupportedProtocolError, match="frozen"):
+        proto.joint_distribution(p, table=(1, 1))
+
+
+def test_validate_reports_bobs_key_among_the_ensemble_registers():
+    rep = proto.validate(dataclasses.replace(tiny_protocol(), ensemble_regs=("KB",)))
+    assert any("ensemble register 'KB'" in v for v in rep.violations)
+
+
 @pytest.mark.parametrize("group", [["2"], [2.9], [True], [2.0], "2"])
 def test_a_mistyped_group_factor_is_a_shape_error(group):
     data = tiny_protocol().to_json()
