@@ -145,28 +145,6 @@ def _final_on_component(sim_state, p, vector):
     return final_map(p, _attach_component(sim_state, p, vector))
 
 
-def eve_guess_key(sim: LearnerOutcome, message_component, p: Protocol,
-                  force_simulated_oracle: bool = False):
-    """Run Alice's final map in the simulator and read her key register.
-
-    Returns ``(k_E, post_state)`` where ``post_state`` is the simulator state
-    after projecting the key register onto ``k_E``.  Protocols whose final
-    map queries the oracle are refused unless ``force_simulated_oracle`` is
-    set, in which case those queries run against Eve's simulated oracle (a
-    deliberately wrong thing to do; it exists to show the hypothesis
-    matters).  Raises ZeroProbabilityError when neither key value has mass.
-    """
-    if not p.alice_no_final_query and not force_simulated_oracle:
-        raise UnsupportedProtocolError(
-            "final map queries the oracle; the attack only covers protocols "
-            "whose final map is oracle-free"
-        )
-    dist, final = _final_on_component(sim.simulated_state, p, message_component)
-    k_E = int(np.argmax(dist[:2]))
-    post, _ = final.postselect(p.key_reg_a, k_E)
-    return k_E, post
-
-
 def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
     """Repair the measured message: uncompute the final map, trace to M.
 
@@ -252,6 +230,8 @@ def full_attack(
         )
     if not 0 < lam < 1:
         raise DomainError(f"failure budget must be in (0,1), got {lam}")
+    if not 0 < eps < 1:
+        raise DomainError(f"threshold must be in (0,1), got {eps}")
     rng = np.random.default_rng(seed)
     table = check_table(p.oracle_spec(), table)
     if cap is None:

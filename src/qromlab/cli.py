@@ -33,7 +33,7 @@ from .circuits import (
 from .errors import QromlabError, ReplayMismatchError
 from .learner import learn
 from .oracle import OracleSpec
-from .protocol import Protocol, Query, run_concrete, validate
+from .protocol import Protocol, query_count, run_concrete, validate
 from .qstate import QuantumState
 
 MODES = ("attack", "learner-only", "pcc-search", "oracle-equivalence")
@@ -234,7 +234,7 @@ def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):
     dumping is on.  The outcome and its states are dropped here."""
     rng = trial_rng(cfg.seed, trial)
     table = random_table(rng, p)
-    start = time.perf_counter()
+    start = time.thread_time()
     out = full_attack(
         p, eps, cfg.lam, table,
         seed=rng,
@@ -242,7 +242,7 @@ def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):
         guess_only=cfg.guess_only,
         force_simulated_oracle=cfg.force_simulated_oracle,
     )
-    seconds = time.perf_counter() - start
+    seconds = time.thread_time() - start
     row = [trial, out.k_E, out.k_A, out.k_B, out.l_size, out.aborted,
            out.eq_find, out.eq_simulatedm, out.eq_agrees, seconds]
     dump = None
@@ -307,12 +307,12 @@ def _learner_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int) -
     """One learner-only trial's CSV row, ``seconds`` last."""
     rng = trial_rng(cfg.seed, trial)
     table = random_table(rng, p)
-    start = time.perf_counter()
+    start = time.thread_time()
     trace = run_concrete(p, table, seed=rng, honest=False)
     cap = cfg.cap if cfg.cap is not None else default_cap(p, eps, cfg.lam)
     res = learn(p, trace.transcript, eps, table, cap=cap)
     return [trial, res.queries_made, res.aborted, res.max_residual_weight,
-            time.perf_counter() - start]
+            time.thread_time() - start]
 
 
 def _learner_sweep(cfg: ExperimentConfig, p: Protocol, eps: float, index: int,
@@ -335,11 +335,11 @@ def _equivalence_trial(cfg: ExperimentConfig, trial: int) -> list:
     rng = trial_rng(cfg.seed, trial)
     spec = OracleSpec(cfg.n, cfg.group_spec())
     ops = random_ops(spec, rng, cfg.queries)
-    start = time.perf_counter()
+    start = time.thread_time()
     purified = work_distribution(run_purified(spec, ops))
     averaged = averaged_fixed_distribution(spec, ops)
     tv = total_variation(purified, averaged)
-    return [trial, tv, time.perf_counter() - start]
+    return [trial, tv, time.thread_time() - start]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -410,14 +410,14 @@ def describe(name: str, n: int = 4, group=(2,)) -> str:
         return f"{k} {singular if k == 1 else plural}"
 
     for i, step in enumerate(p.rounds, start=1):
-        queries = sum(1 for instr in step.program if isinstance(instr, Query))
+        queries = query_count(step.program)
         what = (f"round {i}: party {step.party}, "
                 f"{counted(len(step.program), 'instruction', 'instructions')}, "
                 f"{counted(queries, 'query', 'queries')}")
         if step.message:
-            what += f", sends {step.message} ({step.message_kind})"
+            what += f", sends {step.message} ({p.message_kind(step)})"
         lines.append(what)
-    final_queries = sum(1 for instr in p.final_a_program if isinstance(instr, Query))
+    final_queries = query_count(p.final_a_program)
     lines.append(f"final map: {counted(len(p.final_a_program), 'instruction', 'instructions')}, "
                  f"{counted(final_queries, 'query', 'queries')}")
     lines.append(f"query budget d = {p.query_budget}; keys {p.key_reg_a}/{p.key_reg_b}")

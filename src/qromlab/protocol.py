@@ -9,7 +9,9 @@ violation.  The shape is the one the attack machinery expects: classical
 messages in both directions, then exactly one quantum message from Bob to
 Alice, with Bob's key fixed (frozen) before that message leaves his lab
 and Alice's key produced by a final map on her side plus the received
-message.
+message.  What the programs fix is computed, not declared: a round's
+message kind follows from the role of the register it sends, and the
+query budget d and the no-final-query flag are counted off the programs.
 
 Every program, a protocol round and a random circuit alike, is a sequence
 of the two instructions ``Gate`` and ``Query`` with one JSON encoding, and
@@ -127,6 +129,11 @@ class Query:
         return data
 
 
+def query_count(program) -> int:
+    """How many oracle queries a program makes."""
+    return sum(1 for i in program if isinstance(i, Query))
+
+
 def instruction_from_json(data) -> "Gate | Query":
     """Inverse of ``Gate.to_json``/``Query.to_json``; a mistyped field is a ProtocolShapeError."""
     with _shape_errors():
@@ -201,11 +208,13 @@ class Step:
     party: str
     program: tuple
     message: str | None = None
-    message_kind: str = "classical"
 
 
 @dataclass(frozen=True)
 class Protocol:
+    """Registers, rounds and Alice's final map.  The query budget d, the
+    no-final-query flag and each round's message kind are computed from them."""
+
     name: str
     group: GroupSpec
     domain_size: int
@@ -215,8 +224,6 @@ class Protocol:
     key_reg_a: str
     key_reg_b: str
     ensemble_regs: tuple[str, ...]
-    query_budget: int
-    alice_no_final_query: bool
     amplitude_cap: int = DEFAULT_AMPLITUDE_CAP
 
     # -- structure helpers ----------------------------------------------
@@ -245,16 +252,29 @@ class Protocol:
     def alice_side(self) -> list[str]:
         return self.regs_with_role(ROLE_ALICE, ROLE_TRANSCRIPT)
 
+    def message_kind(self, step: Step) -> str:
+        """"quantum" when the round sends the register of role M, else "classical"."""
+        return "quantum" if step.message in self.regs_with_role(ROLE_MESSAGE) else "classical"
+
     def classical_messages(self) -> list[str]:
-        return [s.message for s in self.rounds if s.message and s.message_kind == "classical"]
+        return [s.message for s in self.rounds if s.message and self.message_kind(s) == "classical"]
 
     def queries_by_party(self) -> dict[str, int]:
         counts = {"A": 0, "B": 0}
         for step in self.rounds:
-            queries = sum(1 for i in step.program if isinstance(i, Query))
-            counts[step.party] = counts.get(step.party, 0) + queries
-        counts["A"] += sum(1 for i in self.final_a_program if isinstance(i, Query))
+            counts[step.party] = counts.get(step.party, 0) + query_count(step.program)
+        counts["A"] += query_count(self.final_a_program)
         return counts
+
+    @property
+    def query_budget(self) -> int:
+        """d: the most oracle queries one honest party makes."""
+        return max(self.queries_by_party().values())
+
+    @property
+    def alice_no_final_query(self) -> bool:
+        """Whether Alice's final map stays off the oracle, as the attack requires."""
+        return query_count(self.final_a_program) == 0
 
     # -- serialization ----------------------------------------------------
 
@@ -269,7 +289,7 @@ class Protocol:
                     "party": s.party,
                     "program": [i.to_json() for i in s.program],
                     "message": s.message,
-                    "message_kind": s.message_kind,
+                    "message_kind": self.message_kind(s),
                 }
                 for s in self.rounds
             ],
@@ -289,14 +309,16 @@ class Protocol:
         """Inverse of ``to_json``; malformed input raises ProtocolShapeError.
 
         ``amplitude_cap`` may be absent (descriptions written before it
-        was recorded) and then takes the default.
+        was recorded) and then takes the default.  ``query_budget``,
+        ``alice_no_final_query`` and a round's ``message_kind`` may be
+        absent; a stated one must equal the value the programs give.
         """
         with _shape_errors():
             return cls._parse_json(data)
 
     @classmethod
     def _parse_json(cls, data) -> "Protocol":
-        return cls(
+        p = cls(
             name=_typed(data["name"], str, "name"),
             group=GroupSpec.from_json(data["group"], ProtocolShapeError),
             domain_size=_typed(data["domain_size"], int, "domain_size"),
@@ -310,8 +332,6 @@ class Protocol:
                     party=_typed(s["party"], str, "round party"),
                     program=tuple(instruction_from_json(i) for i in s["program"]),
                     message=_optional(s, "message", str),
-                    message_kind=_typed(s.get("message_kind", "classical"), str,
-                                        "round message_kind"),
                 )
                 for s in data["rounds"]
             ),
@@ -321,12 +341,21 @@ class Protocol:
             key_reg_a=_typed(data["final_a"]["key_reg"], str, "final_a key_reg"),
             key_reg_b=_typed(data["final_b"]["key_reg"], str, "final_b key_reg"),
             ensemble_regs=tuple(_typed_list(data["ensemble_regs"], str, "ensemble_regs entry")),
-            query_budget=_typed(data["query_budget"], int, "query_budget"),
-            alice_no_final_query=_typed(data["alice_no_final_query"], bool,
-                                        "alice_no_final_query"),
             amplitude_cap=_typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
                                  "amplitude_cap"),
         )
+        stated = [(data, "query_budget", p.query_budget, "query_budget"),
+                  (data, "alice_no_final_query", p.alice_no_final_query, "alice_no_final_query")]
+        for i, (s, step) in enumerate(zip(data["rounds"], p.rounds)):
+            kind = _typed(s.get("message_kind", "classical"), str, "round message_kind")
+            if kind not in ("classical", "quantum"):
+                raise ProtocolShapeError(f"round {i}: unknown message kind {kind!r}")
+            stated.append((s, "message_kind", p.message_kind(step), f"round {i} message_kind"))
+        for where, key, derived, what in stated:
+            if _typed(where.get(key, derived), type(derived), what) != derived:
+                raise ProtocolShapeError(
+                    f"protocol JSON states {what} {where[key]!r}; its programs give {derived!r}")
+        return p
 
 
 def _typed(value, kind, what: str):
@@ -384,7 +413,8 @@ def _program_targets(instr) -> list[str]:
 
 
 def validate(p: Protocol) -> ValidationReport:
-    """Structural checks; violations break the shape, notices inform."""
+    """Structural checks; violations break the shape, notices inform (a final
+    map that queries the oracle, which the attack does not cover)."""
     rep = ValidationReport()
     names = [r.name for r in p.registers]
     if len(set(names)) != len(names):
@@ -406,25 +436,24 @@ def validate(p: Protocol) -> ValidationReport:
         return rep
     if p.rounds[0].party != ROLE_ALICE:
         rep.violations.append("CC1QM shape: the first round must be Alice's")
-    quantum_steps = [i for i, s in enumerate(p.rounds) if s.message_kind == "quantum"]
+    quantum_steps = [i for i, s in enumerate(p.rounds) if s.message == m_reg]
     if quantum_steps != [len(p.rounds) - 1]:
         rep.violations.append(
             "CC1QM shape: exactly one quantum message allowed, and only as the last round"
         )
     last = p.rounds[-1]
-    if last.party != ROLE_BOB or last.message != m_reg or last.message_kind != "quantum":
+    if last.party != ROLE_BOB or last.message != m_reg:
         rep.violations.append(
             "CC1QM shape: the last round must be Bob sending the quantum message register"
         )
 
     seen_msgs = set()
     for i, step in enumerate(p.rounds):
-        if step.message_kind not in ("classical", "quantum"):
-            rep.violations.append(f"round {i}: unknown message kind {step.message_kind!r}")
+        announced = step.message is not None and step.message != m_reg
         if step.party not in (ROLE_ALICE, ROLE_BOB):
             rep.violations.append(f"round {i}: unknown party {step.party!r}")
             continue
-        if step.message is not None and step.message_kind == "classical":
+        if announced:
             if step.message not in dims or roles[step.message] != ROLE_TRANSCRIPT:
                 rep.violations.append(
                     f"round {i}: classical message {step.message!r} is not a transcript register"
@@ -438,31 +467,18 @@ def validate(p: Protocol) -> ValidationReport:
         if step.party == ROLE_BOB:
             allowed.add(ROLE_MESSAGE)
         _check_program(p, step.program, f"round {i}", allowed, dims, roles, rep, seen_msgs)
-        if step.message is not None and step.message_kind == "classical":
+        if announced:
             seen_msgs.add(step.message)
 
     final_allowed = {ROLE_ALICE, ROLE_TRANSCRIPT, ROLE_MESSAGE}
     _check_program(p, p.final_a_program, "final map", final_allowed, dims, roles, rep,
                    seen_msgs)
 
-    final_queries = sum(1 for i in p.final_a_program if isinstance(i, Query))
-    if p.alice_no_final_query and final_queries:
-        rep.violations.append("alice-final-query: flag set but the final map queries the oracle")
     if not p.alice_no_final_query:
-        if final_queries:
-            rep.notices.append(
-                "alice-final-query: the final map queries the oracle; the active attack "
-                "does not cover this protocol"
-            )
-        else:
-            rep.notices.append("alice-final-query flag unset but the final map makes no query")
-
-    counts = p.queries_by_party()
-    for party, count in counts.items():
-        if count > p.query_budget:
-            rep.violations.append(
-                f"query budget: party {party} makes {count} queries, budget is {p.query_budget}"
-            )
+        rep.notices.append(
+            "alice-final-query: the final map queries the oracle; the active attack "
+            "does not cover this protocol"
+        )
 
     for key_reg, role in ((p.key_reg_a, ROLE_ALICE), (p.key_reg_b, ROLE_BOB)):
         if key_reg not in dims or roles[key_reg] != role or dims[key_reg] not in (2, 3):
@@ -696,7 +712,7 @@ def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]
         for r in range(first, len(p.rounds)):
             step = p.rounds[r]
             state = apply_program(state, step.program, dims)
-            if step.message is not None and step.message_kind == "classical":
+            if step.message is not None and p.message_kind(step) == "classical":
                 # pushed last symbol first, so the first is walked first
                 for sym in reversed(choose(state, step.message, len(transcript))):
                     child, pr = state.collapse_register(step.message, sym)

@@ -21,6 +21,7 @@ from .protocol import (
     function_permutation,
     hadamard_gate,
     permutation_gate,
+    query_count,
 )
 
 
@@ -87,15 +88,12 @@ def announced_query_protocol(domain_size: int, group: GroupSpec | None = None) -
                     controlled_add_gate("YB", "M", group=g),
                 ),
                 message="M",
-                message_kind="quantum",
             ),
         ),
         final_a_program=(_compare_into_key(g, "M", "YA", "KA"),),
         key_reg_a="KA",
         key_reg_b="KB",
         ensemble_regs=("YB",),
-        query_budget=1,
-        alice_no_final_query=True,
     )
 
 
@@ -158,7 +156,7 @@ def merkle_ka_protocol(
                 ),
                 message="T2",
             ),
-            Step(party="B", program=(), message="M", message_kind="quantum"),
+            Step(party="B", program=(), message="M"),
         ),
         final_a_program=(
             permutation_gate(final_perm, ("T1", "T2", "M") + ya_names + ("KA",)),
@@ -166,8 +164,6 @@ def merkle_ka_protocol(
         key_reg_a="KA",
         key_reg_b="KB",
         ensemble_regs=("YB",),
-        query_budget=puzzle_count,
-        alice_no_final_query=True,
     )
 
 
@@ -211,7 +207,6 @@ def trivial_last_message_protocol(domain_size: int, group: GroupSpec | None = No
                     controlled_add_gate("M", "EB", group=cyclic(domain_size)),
                 ),
                 message="M",
-                message_kind="quantum",
             ),
         ),
         final_a_program=(
@@ -221,8 +216,6 @@ def trivial_last_message_protocol(domain_size: int, group: GroupSpec | None = No
         key_reg_a="KA",
         key_reg_b="KB",
         ensemble_regs=("EB",),
-        query_budget=1,
-        alice_no_final_query=False,
     )
 
 
@@ -240,14 +233,12 @@ def constant_key_protocol(domain_size: int = 2, group: GroupSpec | None = None) 
         ),
         rounds=(
             Step(party="A", program=()),
-            Step(party="B", program=(), message="M", message_kind="quantum"),
+            Step(party="B", program=(), message="M"),
         ),
         final_a_program=(),
         key_reg_a="KA",
         key_reg_b="KB",
         ensemble_regs=(),
-        query_budget=0,
-        alice_no_final_query=True,
     )
 
 
@@ -268,7 +259,10 @@ class QpkeScheme:
     gen_program: tuple
     enc_program: tuple
     dec_program: tuple
-    dec_queries_oracle: bool
+
+    @property
+    def dec_queries_oracle(self) -> bool:
+        return query_count(self.dec_program) > 0
 
 
 def toy_qpke(
@@ -317,7 +311,6 @@ def toy_qpke(
                 Query("YA", x_reg="PK"),
                 permutation_gate(dec_perm, ("M", "YA", "KA")),
             ),
-            dec_queries_oracle=True,
         )
     dec_perm = function_permutation(
         (2, 2, 3), lambda m, sk, ka: (m, sk, _swap_key(ka, m ^ sk))
@@ -334,7 +327,6 @@ def toy_qpke(
         ),
         enc_program=enc_program,
         dec_program=(permutation_gate(dec_perm, ("M", "SK", "KA")),),
-        dec_queries_oracle=False,
     )
 
 
@@ -343,8 +335,9 @@ def ka_from_qpke(scheme: QpkeScheme) -> Protocol:
 
     Alice runs key generation and announces pk.  Bob flips his key bit,
     encrypts it under pk, and sends the ciphertext as the quantum
-    message.  Alice's final map is decryption, so the no-final-query
-    flag mirrors whether Dec queries the oracle.
+    message.  Alice's final map is decryption, so the protocol is inside
+    the attack's hypothesis exactly when Dec makes no query; its d is the
+    larger of Alice's Gen-plus-Dec and Bob's Enc query counts.
     """
     rounds = (
         Step(party="A", program=tuple(scheme.gen_program), message="PK"),
@@ -352,13 +345,7 @@ def ka_from_qpke(scheme: QpkeScheme) -> Protocol:
             party="B",
             program=(hadamard_gate("KB"),) + tuple(scheme.enc_program),
             message="M",
-            message_kind="quantum",
         ),
-    )
-    budget = max(
-        sum(1 for i in scheme.gen_program if isinstance(i, Query)),
-        sum(1 for i in scheme.enc_program if isinstance(i, Query)),
-        sum(1 for i in scheme.dec_program if isinstance(i, Query)),
     )
     return Protocol(
         name=f"ka-from-{scheme.name}",
@@ -370,8 +357,6 @@ def ka_from_qpke(scheme: QpkeScheme) -> Protocol:
         key_reg_a="KA",
         key_reg_b="KB",
         ensemble_regs=("YB",),
-        query_budget=max(budget, 1),
-        alice_no_final_query=not scheme.dec_queries_oracle,
     )
 
 

@@ -15,6 +15,7 @@ from qromlab.errors import DomainError, UnsupportedProtocolError
 from qromlab.learner import LearnerOutcome, learn
 from qromlab.oracle import PartialOracle
 from qromlab.protocol import (
+    EnsembleComponent,
     Protocol,
     ProtocolRegister,
     Step,
@@ -49,14 +50,12 @@ def micro_protocol():
         registers=regs,
         rounds=(
             Step("A", ()),
-            Step("B", (), message="M", message_kind="quantum"),
+            Step("B", (), message="M"),
         ),
         final_a_program=(permutation_gate(perm, ("M", "E0", "KA")),),
         key_reg_a="KA",
         key_reg_b="KB",
         ensemble_regs=(),
-        query_budget=0,
-        alice_no_final_query=True,
     )
 
 
@@ -80,25 +79,31 @@ def random_table(rng, n):
 def test_eve_message_matches_hand_computation():
     p, sim = micro_sim_state()
     plus = np.array([1, 1]) / math.sqrt(2)
-    k_E, post = atk.eve_guess_key(sim, plus, p)
+    dist, final = atk._final_on_component(sim.simulated_state, p, plus)
+    k_E = int(np.argmax(dist[:2]))
     # KA ends up at m*e over four equal branches: three of them give 0
     assert k_E == 0
-    rho = atk.eve_message(p, post)
+    eq_simulatedm, rho, _ = atk._repair(p, [EnsembleComponent(1.0, plus, ())], [final], [dist],
+                                        k_E)
     expected = np.array([[2, 1], [1, 1]]) / 3
     assert np.abs(rho.matrix - expected).max() < 1e-12
     assert rho.overlap(plus) == pytest.approx(5 / 6)
+    assert eq_simulatedm == pytest.approx(5 / 6)
 
 
-def test_eve_guess_key_refuses_querying_final_map():
+def test_full_attack_refuses_querying_final_map():
     p = zoo.trivial_last_message_protocol(2)
-    layout = RegisterLayout([Register("M", 2)])
-    dummy = LearnerOutcome(
-        QuantumState.from_vector(layout, np.array([1, 0])), PartialOracle(()), 0, False, 0.0
-    )
-    with pytest.raises(UnsupportedProtocolError):
-        atk.eve_guess_key(dummy, np.array([1, 0]), p)
     with pytest.raises(UnsupportedProtocolError):
         atk.full_attack(p, 0.25, 0.05, (0, 1), seed=0)
+
+
+@pytest.mark.parametrize("eps", [0, 0.0, 1, -0.1])
+def test_a_threshold_outside_the_open_interval_is_a_domain_error(eps):
+    p = zoo.announced_query_protocol(4)
+    with pytest.raises(DomainError, match="threshold"):
+        atk.full_attack(p, eps, 0.05, (0, 1, 1, 0), seed=0)
+    with pytest.raises(DomainError, match="threshold"):
+        atk.ind_cpa_game(zoo.toy_qpke(4, Z2), 2, eps, 0.05, 0)
 
 
 def test_full_attack_on_announced_all_tables():

@@ -118,6 +118,23 @@ def test_runs_are_deterministic_across_thread_counts(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("overrides,csv_name", [
+    ({}, "trials_eps0.csv"),
+    ({"mode": "learner-only", "protocol": "merkle"}, "trials_eps0.csv"),
+    ({"mode": "oracle-equivalence", "n": 2, "queries": 2}, "trials.csv"),
+])
+def test_seconds_is_the_trials_own_thread_time(tmp_path, monkeypatch, overrides, csv_name):
+    # a clock that ticks once per reading: a trial timed with it reads
+    # exactly 1 s, one timed with any other clock reads far less
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(cli.time, "thread_time", lambda: float(next(ticks)))
+    monkeypatch.setenv("QROMLAB_THREADS", "1")
+    cfg = make_config(tmp_path, trials=3, **overrides)
+    cli.run_experiment(cfg)
+    rows = read_rows(Path(cfg.out_dir) / csv_name)
+    assert [float(r["seconds"]) for r in rows] == [1.0] * 3
+
+
 def test_worker_count_reads_the_env(monkeypatch):
     monkeypatch.setenv("QROMLAB_THREADS", "5")
     assert cli.worker_count() == 5
@@ -382,6 +399,34 @@ def test_bad_round_or_gate_is_a_config_error(tmp_path, capsys, edit, problem):
     }))
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def set_key(key, value):
+    return lambda data: data.update({key: value})
+
+
+@pytest.mark.parametrize("name,edit,stated", [
+    ("announced-query", set_key("query_budget", 2), "query_budget 2"),
+    ("merkle", set_key("alice_no_final_query", False), "alice_no_final_query False"),
+    ("announced-query", edit_round(0, message_kind="quantum"), "round 0 message_kind 'quantum'"),
+    ("merkle", edit_round(2, message_kind="classical"), "round 2 message_kind 'classical'"),
+])
+def test_a_stated_value_the_programs_contradict_is_a_config_error(tmp_path, capsys, name, edit,
+                                                                  stated):
+    data = zoo.standard_zoo(4)[name].to_json()
+    edit(data)
+    with pytest.raises(ProtocolShapeError, match=f"states {stated}; its programs give"):
+        Protocol.from_json(data)
+    proto_path = tmp_path / "stated.json"
+    proto_path.write_text(json.dumps(data))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "attack", "protocol": str(proto_path), "n": 4, "trials": 1,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert stated in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -195,14 +195,12 @@ def leaky_protocol():
         registers=regs,
         rounds=(
             Step("A", (Query("T1", x_const=0),), message="T1"),
-            Step("B", (), message="M", message_kind="quantum"),
+            Step("B", (), message="M"),
         ),
         final_a_program=(),
         key_reg_a="KA",
         key_reg_b="KB",
         ensemble_regs=(),
-        query_budget=1,
-        alice_no_final_query=True,
     )
 
 

@@ -6,7 +6,10 @@ pictures must give the same statistics, and the two labs must stay in a
 product state once transcript and table are fixed.
 """
 
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,3 +175,58 @@ def test_parameter_validation():
         zoo.merkle_ka_protocol(4, Z2, puzzle_count=5)
     with pytest.raises(DomainError):
         zoo.merkle_ka_protocol(4, Z2, puzzle_count=1)
+
+
+GROUPS = [(2,), (3,), (2, 2)]
+
+
+def zoo_with_querying_dec(n, group):
+    protocols = dict(zoo.standard_zoo(n, group))
+    protocols["ka-from-toy-qpke-querying-dec"] = zoo.ka_from_qpke(
+        zoo.toy_qpke(n, group, querying_dec=True))
+    return protocols
+
+
+# (d, Alice's final map stays off the oracle, message kind per round)
+DERIVED = {
+    "announced-query": (1, True, ("classical", "quantum")),
+    "merkle": (2, True, ("classical", "classical", "quantum")),
+    "trivial-last-message": (1, False, ("classical", "quantum")),
+    "constant-key": (0, True, ("classical", "quantum")),
+    "ka-from-toy-qpke": (1, True, ("classical", "quantum")),
+    "ka-from-toy-qpke-querying-dec": (1, False, ("classical", "quantum")),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("factors", GROUPS)
+def test_budget_flag_and_kinds_are_read_off_the_programs(n, factors):
+    for name, p in zoo_with_querying_dec(n, GroupSpec(factors)).items():
+        d, clean, kinds = DERIVED[name]
+        assert p.query_budget == d, name
+        assert p.alice_no_final_query is clean, name
+        assert tuple(p.message_kind(s) for s in p.rounds) == kinds, name
+        data = p.to_json()
+        assert (data["query_budget"], data["alice_no_final_query"]) == (d, clean), name
+        assert tuple(r["message_kind"] for r in data["rounds"]) == kinds, name
+    for querying_dec in (False, True):
+        assert zoo.toy_qpke(n, GroupSpec(factors), querying_dec).dec_queries_oracle is querying_dec
+
+
+def test_budget_flag_and_kinds_are_not_fields():
+    names = {f.name for cls in (proto.Protocol, proto.Step, zoo.QpkeScheme)
+             for f in dataclasses.fields(cls)}
+    assert not names & {"query_budget", "alice_no_final_query", "message_kind",
+                        "dec_queries_oracle"}
+
+
+def test_zoo_json_is_unchanged():
+    """Every zoo protocol's JSON text, hashed, against the recorded hashes."""
+    recorded = json.loads((Path(__file__).parent / "data" / "zoo_json.json").read_text())
+    got = {}
+    for factors in GROUPS:
+        for n in (3, 4, 8):
+            for name, p in zoo_with_querying_dec(n, GroupSpec(factors)).items():
+                text = json.dumps(p.to_json(), sort_keys=True).encode()
+                got[f"{name} n={n} group={list(factors)}"] = hashlib.sha256(text).hexdigest()
+    assert got == recorded
