@@ -5,7 +5,10 @@ fixed table while holding back Bob's quantum message, learn the heavy oracle
 points from the transcript, rebuild Bob's lab inside Eve's simulator, and
 run Alice's final map against the simulated oracle to read off the key.  The
 intercepted message is then repaired (measure, uncompute) and delivered to
-the real Alice.
+the real Alice.  Every delivery, into Eve's simulator or to the real
+Alice, is ``protocol.deliver``: a basis component that the final map only
+reads is a frozen register, like a sent symbol, so its repair is the
+frozen value itself.
 
 Everything here is exact linear algebra on small dense states, so the
 diagnostics (eq_find, eq_simulatedm, eq_agrees) are computed to numerical
@@ -22,16 +25,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedProtocolError
 from .learner import LearnerOutcome, learn
 from .oracle import all_weights, check_table, fourier_support_size
-from .protocol import (
-    KEY_ABORT,
-    Gate,
-    Protocol,
-    Query,
-    alice_final,
-    apply_program,
-    final_map,
-    run_concrete,
-)
+from .protocol import KEY_ABORT, Protocol, alice_final, apply_program, deliver, run_concrete
 from .qstate import (
     KIND_MESSAGE,
     DensityOperator,
@@ -42,7 +36,6 @@ from .qstate import (
 from .zoo import QpkeScheme, ka_from_qpke
 
 _DEAD_COMPONENT_TOL = 1e-12
-SIM_MESSAGE_SUFFIX = "__sim"
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -109,49 +102,14 @@ class AttackOutcome:
         }
 
 
-def _message_address_only(p: Protocol) -> bool:
-    """True when the final map only ever reads the message as a query address."""
-    m = p.message_reg()
-    for instr in p.final_a_program:
-        if isinstance(instr, Gate) and m in instr.targets:
-            return False
-        if isinstance(instr, Query) and instr.y_reg == m:
-            return False
-    return True
-
-
-def _attach_component(sim_state: QuantumState, p: Protocol, vector) -> QuantumState:
-    """Swap Eve's simulated message out for one real-message component.
-
-    The simulated message register keeps its contents under a shadow name so
-    the simulator state stays intact; Alice's final map then acts on the real
-    component.  Basis-vector components of address-only protocols are pinned
-    classically, which keeps large message registers off the tensor product.
-    """
-    m = p.message_reg()
-    dim = p.register(m).dim
-    vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    if vec.shape[0] != dim:
-        raise DomainError(f"message component has length {len(vec)}, register wants {dim}")
-    shadowed = sim_state.rename_register(m, m + SIM_MESSAGE_SUFFIX)
-    support = np.nonzero(np.abs(vec) > 1e-12)[0]
-    if len(support) == 1 and _message_address_only(p):
-        return shadowed.attach_fixed(m, int(support[0]))
-    return shadowed.attach_register(Register(m, dim, KIND_MESSAGE), vector=vec)
-
-
-def _final_on_component(sim_state, p, vector):
-    """Alice's final map inside the simulator: returns (key dist, final state)."""
-    return final_map(p, _attach_component(sim_state, p, vector))
-
-
 def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
     """Repair the measured message: uncompute the final map, trace to M.
 
     ``post_state`` is the simulator state right after the key projection.
-    The final map is applied in reverse (matrix adjoints, inverse
-    permutations, inverse query kernels) and everything except the real
-    message register is traced out.
+    A frozen M (a basis component the final map only reads) comes back as
+    its own value.  A live M has the final map applied in reverse (matrix
+    adjoints, inverse permutations, inverse query kernels) and everything
+    else traced out.
     """
     m = p.message_reg()
     dim = p.register(m).dim
@@ -166,8 +124,9 @@ def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
 def _repair(p: Protocol, components, finals, dists, k_E: int):
     """Measure, uncompute and mix: Eve's repaired message over the components.
 
-    ``finals[i]`` and ``dists[i]`` are component i's simulator state after
-    Alice's final map and its key distribution.  Returns ``(eq_simulatedm,
+    ``finals[i]`` and ``dists[i]`` are what ``deliver`` gave for component
+    i: its simulator state after Alice's final map, with M frozen or live,
+    and its key distribution.  Returns ``(eq_simulatedm,
     rho, posts)``: the worst overlap of a repaired component with the real
     one, the mix weighted by ``weight * Pr[k_E]`` (the maximally mixed state
     when nothing survives the projection), and each live component's state
@@ -240,8 +199,7 @@ def full_attack(
     trace = run_concrete(p, table, seed=rng, honest=False)
     sim = learn(p, trace.transcript, eps, table, cap=cap)
 
-    dists, finals = zip(*(_final_on_component(sim.simulated_state, p, comp.vector)
-                          for comp in trace.ensemble))
+    dists, finals = zip(*(deliver(p, sim.simulated_state, comp.vector) for comp in trace.ensemble))
 
     k_E = int(np.argmax(dists[0][:2]))
     components_agree = all(int(np.argmax(d[:2])) == k_E for d in dists)
@@ -320,7 +278,7 @@ def check_inequalities(p: Protocol, outcome: AttackOutcome, atol: float = 1e-9) 
     sim = art["simulated_state"]
     w_before = all_weights(sim)
     s_before = fourier_support_size(sim)
-    dists, finals = zip(*(_final_on_component(sim, p, comp.vector) for comp in comps))
+    dists, finals = zip(*(deliver(p, sim, comp.vector) for comp in comps))
     drift = max(float(np.max(np.abs(all_weights(final) - w_before))) for final in finals)
     support_ok = all(fourier_support_size(final) == s_before for final in finals)
     eq_find = min(float(d[outcome.k_E]) for d in dists)

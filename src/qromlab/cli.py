@@ -30,7 +30,7 @@ from .circuits import (
     total_variation,
     work_distribution,
 )
-from .errors import QromlabError, ReplayMismatchError
+from .errors import QromlabError, ReplayMismatchError, is_int, typed
 from .learner import learn
 from .oracle import OracleSpec
 from .protocol import Protocol, query_count, run_concrete, validate
@@ -79,10 +79,6 @@ def _run_trials(fn, trials: int) -> list:
         return [fn(t) for t in range(trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(trials)))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -143,7 +139,7 @@ class ExperimentConfig:
         for name in ("mode", "out_dir"):
             check(name, isinstance(getattr(self, name), str), "a string")
         for name in ("trials", "seed", "n", "d", "queries"):
-            check(name, _is_int(getattr(self, name)), "an integer")
+            check(name, is_int(getattr(self, name)), "an integer")
         for name in ("lam", "delta"):
             check(name, _is_real(getattr(self, name)), "a number")
         for name in ("guess_only", "force_simulated_oracle", "dump_relevant"):
@@ -152,8 +148,8 @@ class ExperimentConfig:
               "a string or null")
         check("protocol_json", self.protocol_json is None or isinstance(self.protocol_json, dict),
               "an object or null")
-        check("cap", self.cap is None or _is_int(self.cap), "an integer or null")
-        check("group", isinstance(self.group, (list, tuple)) and all(map(_is_int, self.group)),
+        check("cap", self.cap is None or is_int(self.cap), "an integer or null")
+        check("group", isinstance(self.group, (list, tuple)) and all(map(is_int, self.group)),
               "a list of integers")
         check("eps", isinstance(self.eps, (list, tuple)) and all(map(_is_real, self.eps)),
               "a number or a list of numbers")
@@ -477,7 +473,7 @@ def _replay_pcc_hit(run_dir: Path) -> dict:
         dump = json.loads(dump_path.read_text())
         phi = QuantumState.load(dump["state_a"])
         psi = QuantumState.load(dump["state_b"])
-        delta, d = float(dump["delta"]), int(dump["d"])
+        delta, d = typed(dump["delta"], (int, float), "delta"), typed(dump["d"], int, "d")
         recorded = dump["report_a"], dump["report_b"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise QromlabError(f"{dump_path} is damaged ({type(exc).__name__}: {exc})") from None

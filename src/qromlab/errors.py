@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks that raise them."""
+
+import numbers
 
 
 class QromlabError(Exception):
@@ -39,6 +41,11 @@ class UnsupportedProtocolError(QromlabError):
 
 class ReplayMismatchError(QromlabError):
     """A recomputed quantity disagrees with the recorded one."""
+
+
+def is_int(value) -> bool:
+    """An integer or a numpy integer; a bool is no int."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def typed(value, kind, what: str, error=LayoutError):

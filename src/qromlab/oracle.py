@@ -23,7 +23,6 @@ alike: a fixed table is the oracle with every cell learned (see
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import (
     LayoutError,
     UnsupportedProtocolError,
     ZeroProbabilityError,
+    is_int,
 )
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
@@ -152,8 +152,7 @@ def check_table(spec: OracleSpec, table) -> tuple[int, ...]:
     """
     table = tuple(table)
     if len(table) != spec.domain_size or not all(
-            isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            and 0 <= v < spec.group.order for v in table):
+            is_int(v) and 0 <= v < spec.group.order for v in table):
         raise DomainError("oracle table does not match the oracle's domain and range")
     return tuple(map(int, table))
 

@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .circuits import light_random_ops, run_purified
-from .errors import DomainError, QromlabError
+from .errors import DomainError, QromlabError, typed
 from .oracle import (
     OracleSpec,
     all_weights,
+    check_table,
     computational_support,
     fourier_support_size,
     init_purified,
@@ -117,14 +118,6 @@ class SearchResult:
     goodstate_pairs: int
     min_margin: float | None
 
-    def to_json(self) -> dict:
-        return {
-            "hit": None if self.hit is None else self.hit.to_json(),
-            "trials": self.trials,
-            "goodstate_pairs": self.goodstate_pairs,
-            "min_margin": self.min_margin,
-        }
-
 
 def search_counterexample(
     spec: OracleSpec, delta: float, d: int, trials: int, seed: int
@@ -221,10 +214,10 @@ def check_attack_dump(dump: dict) -> dict:
     """
     try:
         p = Protocol.from_json(dump["protocol"])
-        transcript = tuple(int(t) for t in dump["transcript"])
+        transcript = tuple(dump["transcript"])
         sim = QuantumState.load(dump["simulated_state"])
-        delta, d = float(dump["delta"]), int(dump["d"])
-        table = tuple(int(v) for v in dump["table"]) if "table" in dump else None
+        delta, d = typed(dump["delta"], (int, float), "delta"), typed(dump["d"], int, "d")
+        table = check_table(p.oracle_spec(), dump["table"]) if "table" in dump else None
     except (KeyError, TypeError, ValueError) as exc:
         raise QromlabError(f"attack dump is damaged ({type(exc).__name__}: {exc})") from None
     real, _ = run_conditioned(p, transcript)

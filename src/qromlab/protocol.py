@@ -26,7 +26,8 @@ Every run of a protocol walks its rounds with the one walker ``_walk``.
 At each classical message it follows the symbols a chooser picks: one
 sampled symbol (``run_purified``, ``run_concrete``), the forced symbol
 (``run_conditioned``) or every symbol with probability at least 1e-12
-(``enumerate_branches``).  Alice's final map runs through ``final_map``.
+(``enumerate_branches``).  Alice's final map runs through ``final_map``;
+``deliver`` is the one step that puts a received message on M first.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import numpy as np
 
 from . import oracle as qoracle
 from .algebra import GroupSpec, cyclic
-from .errors import DomainError, ProtocolShapeError, QromlabError, UnsupportedProtocolError, typed
+from .errors import (DomainError, ProtocolShapeError, QromlabError, UnsupportedProtocolError,
+                     is_int, typed)
 from .oracle import OracleSpec
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
@@ -67,6 +69,7 @@ KEY_ABORT = 2  # key register value encoding the bottom output
 _CELL_PATTERN = re.compile(r"^H\d+$")
 _PRODUCT_TOL = 1e-9
 _BRANCH_TOL = 1e-12
+SIM_MESSAGE_SUFFIX = "__sim"
 
 
 @dataclass(frozen=True)
@@ -518,12 +521,11 @@ def _check_program(p, program, where, allowed_roles, dims, roles, rep, announced
             except QromlabError as exc:
                 rep.violations.append(f"{where}: gate {instr.name!r} on {targets}: {exc}")
             else:
-                frozen = [i for i, t in enumerate(targets) if t in announced]
-                if frozen and _moves(kind, obj, tuple(dims[t] for t in targets), frozen):
+                if _moves(instr, dims, announced):
                     rep.violations.append(
                         f"{where}: gate {instr.name!r} changes an announced register")
         if isinstance(instr, Query):
-            if instr.y_reg in announced:
+            if _moves(instr, dims, announced):
                 rep.violations.append(
                     f"{where}: query writes the announced register {instr.y_reg!r}")
             if instr.y_reg in dims and dims[instr.y_reg] != p.group.order:
@@ -539,8 +541,16 @@ def _check_program(p, program, where, allowed_roles, dims, roles, rep, announced
                 rep.violations.append(f"{where}: query address {instr.x_const} out of range")
 
 
-def _moves(kind: str, obj: np.ndarray, tdims, positions) -> bool:
-    """Whether a resolved gate on registers of ``tdims`` changes a digit at ``positions``."""
+def _moves(instr, dims: dict[str, int], regs) -> bool:
+    """Whether an instruction can change a register in ``regs``: a query writes
+    its output register, a gate any target some image differs in."""
+    if isinstance(instr, Query):
+        return instr.y_reg in regs
+    positions = [i for i, t in enumerate(instr.targets) if t in regs]
+    if not positions:
+        return False
+    kind, obj = _resolve_gate(instr, dims)
+    tdims = tuple(dims[t] for t in instr.targets)
     digits = np.indices(tdims).reshape(len(tdims), -1)
     if kind == "perm":
         image = np.unravel_index(obj, tdims)
@@ -827,9 +837,13 @@ def run_conditioned(p: Protocol, transcript, table=None) -> tuple[QuantumState, 
 
     Returns the joint state just before Bob's key measurement together
     with the probability of that transcript.  A transcript the protocol
-    cannot produce raises ZeroProbabilityError.
+    cannot produce raises ZeroProbabilityError.  A symbol is an integer or a
+    numpy integer; a bool, a float or a string is a DomainError.
     """
-    transcript = tuple(int(v) for v in transcript)
+    transcript = tuple(transcript)
+    if not all(map(is_int, transcript)):
+        raise DomainError(f"transcript symbols must be integers, got {transcript!r}")
+    transcript = tuple(map(int, transcript))
     expected = len(p.classical_messages())
     if len(transcript) != expected:
         raise DomainError(f"transcript has {len(transcript)} symbols, protocol sends {expected}")
@@ -897,23 +911,39 @@ def distribution_tv(a: dict, b: dict) -> float:
 # -- Alice's final map on a delivered message -------------------------------
 
 
+def deliver(p: Protocol, state: QuantumState, vector) -> tuple[np.ndarray, QuantumState]:
+    """Put one message vector on M and run Alice's final map: (key dist, final state).
+
+    An M the state already holds (Eve's simulated message) is kept under the
+    name M + ``SIM_MESSAGE_SUFFIX``.  A basis vector is held frozen, like a
+    sent symbol, when the final map never changes M (the write test
+    ``validate`` runs on announced registers); any other vector is attached
+    as a live register.
+    """
+    m = p.message_reg()
+    dim = p.register(m).dim
+    vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    if vec.shape[0] != dim or abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        raise DomainError(f"message must be a unit vector of length {dim}, got {vec}")
+    if m in state.layout or state.is_fixed(m):
+        state = state.rename_register(m, m + SIM_MESSAGE_SUFFIX)
+    support = np.flatnonzero(np.abs(vec) > _BRANCH_TOL)
+    dims = p.reg_dims()
+    if len(support) == 1 and not any(_moves(i, dims, {m}) for i in p.final_a_program):
+        state = state.attach_fixed(m, int(support[0]))
+    else:
+        state = state.attach_register(Register(m, dim, KIND_MESSAGE), vector=vec)
+    return final_map(p, state)
+
+
 def alice_final(p: Protocol, alice_state: QuantumState, message) -> np.ndarray:
     """Distribution over Alice's key {0, 1, bottom} given a delivered message.
 
-    ``message`` is a vector or a density operator on the message register.
+    ``message`` is a vector or a density operator on the message register;
+    each pure state of its spectral ensemble goes through ``deliver``.
     Oracle queries in the final map ask ``alice_state``'s own oracle (the
     real table, for a state from ``extract_alice_state``); on a state
     without one they raise LayoutError.
     """
-    m_reg = p.message_reg()
-    m_dim = p.register(m_reg).dim
-    if isinstance(message, DensityOperator):
-        dist = np.zeros(3)
-        for prob, vec in message.eig_ensemble():
-            dist += prob * alice_final(p, alice_state, vec)
-        return dist
-    vec = np.asarray(message, dtype=np.complex128).reshape(-1)
-    if vec.shape[0] != m_dim:
-        raise DomainError(f"message vector has length {len(vec)}, register wants {m_dim}")
-    state = alice_state.attach_register(Register(m_reg, m_dim, KIND_MESSAGE), vector=vec)
-    return final_map(p, state)[0]
+    pure = message.eig_ensemble() if isinstance(message, DensityOperator) else [(1.0, message)]
+    return sum(prob * deliver(p, alice_state, vec)[0] for prob, vec in pure)

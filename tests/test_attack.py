@@ -19,6 +19,7 @@ from qromlab.protocol import (
     Protocol,
     ProtocolRegister,
     Step,
+    deliver,
     function_permutation,
     permutation_gate,
     run_concrete,
@@ -79,7 +80,7 @@ def random_table(rng, n):
 def test_eve_message_matches_hand_computation():
     p, sim = micro_sim_state()
     plus = np.array([1, 1]) / math.sqrt(2)
-    dist, final = atk._final_on_component(sim.simulated_state, p, plus)
+    dist, final = deliver(p, sim.simulated_state, plus)
     k_E = int(np.argmax(dist[:2]))
     # KA ends up at m*e over four equal branches: three of them give 0
     assert k_E == 0

@@ -255,8 +255,15 @@ def test_guess_only_dumps_replay_through_main(tmp_path, capsys):
     lambda d: d.update(protocol=3),
     lambda d: d.update(table=[0, "x"]),
     lambda d: d["simulated_state"]["layout"].update(registers=[["T1", "x", "message"]]),
+    lambda d: d.update(table=[0, 1.9, 1, 0]),
+    lambda d: d.update(transcript=[1.5]),
+    lambda d: d.update(transcript=[True]),
+    lambda d: d.update(d=2.7),
+    lambda d: d.update(d=True),
+    lambda d: d.update(delta="0.5"),
 ], ids=["no-simulated_state", "no-transcript", "transcript-text", "delta-text", "d-null",
-        "protocol-number", "table-text", "register-dim-text"])
+        "protocol-number", "table-text", "register-dim-text", "table-fraction",
+        "transcript-fraction", "transcript-bool", "d-fraction", "d-bool", "delta-numeral"])
 def test_check_attack_dump_turns_a_damaged_dump_into_an_error(tmp_path, damage):
     proto_path = tmp_path / "flipped.json"
     proto_path.write_text(json.dumps(broken_announced().to_json()))
@@ -295,6 +302,19 @@ def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None, group=(2,)):
     return damaged(PCC_SUMMARY, hit, error, id=f"hit-state-{name}")
 
 
+def mistyped_hit(delta, d, read_delta=1.0, read_d=2):
+    """A pcc-hit replay case on the collapsed pair with a mistyped delta or d.
+
+    The recorded reports are the ones the values the fields would be read
+    as (``read_delta``, ``read_d``) give, so only the type check can refuse it.
+    """
+    phi, psi = pcc.collapsed_pair_fixture()
+    reports = [pcc.is_goodstate(s, read_delta, read_d).to_json() for s in (phi, psi)]
+    hit = json.dumps({"state_a": phi.dump(), "state_b": psi.dump(), "delta": delta, "d": d,
+                      "report_a": reports[0], "report_b": reports[1]})
+    return damaged(PCC_SUMMARY, hit, "pcc_hit.json", id=f"hit-delta-{delta!r}-d-{d!r}")
+
+
 @pytest.mark.parametrize("summary,hit,match", [
     damaged("{not json"),
     damaged(json.dumps({"config": {"mode": "attack"}})),
@@ -321,6 +341,11 @@ def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None, group=(2,)):
     damaged_state("fixed-value-text", "LayoutError", fixed={"H1": "1"}),
     damaged_state("index-float", "LayoutError", amps=((0.0, 1.0),)),
     damaged_state("group-float", "LayoutError", group=(2.9,)),
+    mistyped_hit(1.0, 2.7),
+    mistyped_hit(1.0, "2"),
+    mistyped_hit(1.0, True, read_d=1),
+    mistyped_hit("1.0", 2),
+    mistyped_hit(True, 2),
 ])
 def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary, hit, match):
     (tmp_path / "summary.json").write_text(summary)

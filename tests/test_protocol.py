@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qromlab import attack as atk
 from qromlab import circuits, zoo
 from qromlab import protocol as proto
 from qromlab.algebra import GroupSpec, cyclic
@@ -27,6 +28,7 @@ from qromlab.errors import (
     UnsupportedProtocolError,
     ZeroProbabilityError,
 )
+from qromlab.learner import learn
 from qromlab.oracle import OracleSpec, init_purified, init_table
 from qromlab.qstate import (
     DEFAULT_AMPLITUDE_CAP,
@@ -338,6 +340,15 @@ def test_alice_final_accepts_honest_and_rejects_flipped_message():
         assert dist.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("message", [[0, 0.5], [0, 1, 0], [0.6, 0.6]],
+                         ids=["half-basis", "long", "unnormalized"])
+def test_a_message_that_is_no_unit_vector_is_a_domain_error(message):
+    p = tiny_protocol()
+    trace = proto.run_concrete(p, (0, 1), seed=1)
+    with pytest.raises(DomainError, match="unit vector"):
+        proto.alice_final(p, trace.alice_state, np.array(message))
+
+
 def test_alice_final_mixes_density_operators():
     p = tiny_protocol()
     trace = proto.run_concrete(p, (0, 1), seed=1)
@@ -444,6 +455,24 @@ def test_run_conditioned_forces_the_transcript():
     with pytest.raises(DomainError):
         proto.run_conditioned(p, (0, 0))
 
+
+
+@pytest.mark.parametrize("symbol", ["1", 1.7, True, np.float64(2.0), 2.9],
+                         ids=["text", "fraction", "bool", "numpy-float", "fraction-2.9"])
+def test_a_transcript_symbol_that_is_no_integer_is_a_domain_error(symbol):
+    p = zoo.announced_query_protocol(4)
+    with pytest.raises(DomainError, match="transcript symbols"):
+        proto.run_conditioned(p, (symbol,))
+    with pytest.raises(DomainError, match="transcript symbols"):
+        learn(p, (symbol,), 0.05, (0, 1, 1, 0))
+
+
+def test_a_numpy_integer_symbol_runs_as_that_integer():
+    p = zoo.announced_query_protocol(4)
+    (state, prob), (want, want_prob) = (proto.run_conditioned(p, (s,)) for s in (np.int64(1), 1))
+    assert prob == want_prob
+    assert state.fixed == want.fixed and type(state.fixed["T1"]) is int
+    assert np.array_equal(state.amps, want.amps)
 
 
 @pytest.mark.parametrize("table", [(1,), (1, 0, 1), (1, 2), (-1, 0), (1, 0.5)],
@@ -651,6 +680,67 @@ def test_a_matrix_gate_reads_an_announced_register_as_a_control():
         k = table[trace.transcript[0]]
         want = np.eye(3)[k] if trace.transcript == (0,) else (np.eye(3)[k] + np.eye(3)[2]) / 2
         assert np.allclose(got, want)
+
+
+def hadamard_decode_protocol():
+    """tiny_protocol with Alice decoding M in the basis T1 names: a final map that writes M."""
+    p = tiny_protocol()
+    return dataclasses.replace(p, final_a_program=(
+        proto.matrix_gate(controlled_hadamard(), ("T1", "M")),) + p.final_a_program)
+
+
+def live_reference(p, state, vector):
+    """Alice's key distribution with the message always attached as a live register."""
+    m = p.message_reg()
+    if m in state.layout:
+        state = state.rename_register(m, m + proto.SIM_MESSAGE_SUFFIX)
+    live = state.attach_register(Register(m, p.register(m).dim, KIND_MESSAGE), vector)
+    return proto.final_map(p, live)[0]
+
+
+def spied_deliveries(monkeypatch):
+    """Every delivery full_attack makes: (M frozen, key dist, live-attach reference dist)."""
+    seen = []
+
+    def spy(p, state, vector):
+        dist, final = proto.deliver(p, state, vector)
+        seen.append((final.is_fixed(p.message_reg()), dist, live_reference(p, state, vector)))
+        return dist, final
+
+    monkeypatch.setattr(atk, "deliver", spy)
+    return seen
+
+
+@pytest.mark.parametrize("group", [(2,), (3,)], ids=["Z2", "Z3"])
+@pytest.mark.parametrize("name", sorted(zoo.standard_zoo(4)))
+def test_the_attack_delivers_every_zoo_component_frozen(name, group, monkeypatch):
+    p = zoo.standard_zoo(4, GroupSpec(group))[name]
+    seen = spied_deliveries(monkeypatch)
+    forced = name == "trivial-last-message"
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        table = tuple(int(v) for v in rng.integers(0, p.group.order, size=4))
+        atk.full_attack(p, 0.05, 0.05, table, seed=rng, guess_only=forced,
+                        force_simulated_oracle=forced)
+    assert seen and all(frozen for frozen, _, _ in seen)
+    assert all(np.abs(dist - ref).max() <= 1e-12 for _, dist, ref in seen)
+
+
+def test_a_final_map_that_writes_the_message_gets_it_live(monkeypatch):
+    p = hadamard_decode_protocol()
+    seen = spied_deliveries(monkeypatch)
+    compared = []
+    trace_first = atk._trace_then_uncompute
+    monkeypatch.setattr(atk, "_trace_then_uncompute",
+                        lambda p, post: compared.append(post) or trace_first(p, post))
+    for table in all_tables():
+        out = atk.full_attack(p, 0.05, 0.05, table, seed=4, keep_states=True)
+        rep = atk.check_inequalities(p, out)
+        assert rep["matches_recorded"]
+        assert rep["uncompute_order_gap"] <= 1e-10
+    assert seen and not any(frozen for frozen, _, _ in seen)
+    assert all(np.abs(dist - ref).max() <= 1e-12 for _, dist, ref in seen)
+    assert compared, "no post kept M live, so the two operator orders were never compared"
 
 
 @pytest.mark.parametrize("where, instr", [

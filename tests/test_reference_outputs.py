@@ -1,0 +1,36 @@
+"""Replay the benchmark's recorded outputs: the first requests of a run at its seed.
+
+perfbench/reference.json holds the outputs of every request a benchmark
+run at ``reference.SEED`` makes.  Here the first 150 attack-n8 requests
+(50 per protocol, round-robin) and the first 20 blind-guess-n8 requests
+run through perfbench/workloads.py, and the workload's own ``check``
+must find no failed trial and no problem: each record against its
+reference value, and the success-rate and min-eq aggregates.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import pytest  # noqa: E402
+
+import reference  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name, calls", [("attack-n8", 150), ("blind-guess-n8", 20)])
+def test_recorded_benchmark_outputs_replay(name, calls, tmp_path):
+    wl = workloads.WORKLOADS[name]
+    ctx = wl.setup(reference.SEED, tmp_path)
+    records = []
+    try:
+        for i in range(calls):
+            records.extend(wl.call(ctx, i)[2])
+    finally:
+        wl.teardown(ctx)
+    ref = reference.load(name)
+    assert len(records) == calls and all(rec["key"] in ref for rec in records)
+    assert wl.check(records, ref) == (0, [])
