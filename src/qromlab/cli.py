@@ -436,13 +436,13 @@ def describe(name: str, n: int = 4, group=(2,)) -> str:
 
 def _read_csv_row(path: Path, trial: int) -> dict:
     if not path.exists():
-        raise QromlabError(f"{path} does not exist")
+        raise ConfigError([f"{path} does not exist"])
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         for row in reader:
             if row.get("trial") == str(trial):
                 return row
-    raise QromlabError(f"trial {trial} not found in {path}")
+    raise ConfigError([f"trial {trial} not found in {path}"])
 
 
 def _close(recorded, recomputed) -> bool:
@@ -462,13 +462,13 @@ def _read_json(path: Path):
     try:
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise QromlabError(f"{path} is not valid JSON ({exc})") from None
+        raise ConfigError([f"{path} is not valid JSON ({exc})"]) from None
 
 
 def _replay_pcc_hit(run_dir: Path) -> dict:
     dump_path = run_dir / "dumps" / "pcc_hit.json"
     if not dump_path.exists():
-        raise QromlabError("no hit was dumped; nothing to replay")
+        raise ConfigError(["no hit was dumped; nothing to replay"])
     try:
         dump = json.loads(dump_path.read_text())
         phi = QuantumState.load(dump["state_a"])
@@ -476,7 +476,7 @@ def _replay_pcc_hit(run_dir: Path) -> dict:
         delta, d = typed(dump["delta"], (int, float), "delta"), typed(dump["d"], int, "d")
         recorded = dump["report_a"], dump["report_b"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise QromlabError(f"{dump_path} is damaged ({type(exc).__name__}: {exc})") from None
+        raise ConfigError([f"{dump_path} is damaged ({type(exc).__name__}: {exc})"]) from None
     if pcc.compatible(phi, psi):
         raise ReplayMismatchError("dumped pair is no longer incompatible")
     report_a = pcc.is_goodstate(phi, delta, d)
@@ -491,13 +491,13 @@ def _sweep_block(summary: dict, sweep: int, run_dir: Path) -> tuple[float, str]:
     """The eps and the CSV name of sweep ``sweep`` in a summary."""
     sweeps = summary.get("sweeps")
     if not isinstance(sweeps, list):
-        raise QromlabError(f"{run_dir}/summary.json has no list of sweeps")
+        raise ConfigError([f"{run_dir}/summary.json has no list of sweeps"])
     if not 0 <= sweep < len(sweeps):
-        raise QromlabError(f"sweep index {sweep} out of range ({len(sweeps)} sweeps)")
+        raise ConfigError([f"sweep index {sweep} out of range ({len(sweeps)} sweeps)"])
     block = sweeps[sweep]
     if not (isinstance(block, dict) and isinstance(block.get("csv"), str)
             and _is_real(block.get("eps"))):
-        raise QromlabError(f"{run_dir}/summary.json: sweep {sweep} lacks its csv name or eps")
+        raise ConfigError([f"{run_dir}/summary.json: sweep {sweep} lacks its csv name or eps"])
     return float(block["eps"]), block["csv"]
 
 
@@ -509,16 +509,19 @@ def replay(trial: int, run_dir, sweep: int = 0) -> dict:
     NaN matches NaN, anything else must agree to 1e-9.  Raises
     ReplayMismatchError naming the columns that differ.  For attack
     trials with a dump on disk the dump must equal a fresh one and the
-    dumped simulated state is cross-checked too.
+    dumped simulated state is cross-checked too.  Damaged or missing input is a ConfigError.
     """
     run_dir = Path(run_dir)
     if not (run_dir / "summary.json").exists():
-        raise QromlabError(f"{run_dir} has no summary.json; not an experiment directory")
+        raise ConfigError([f"{run_dir} has no summary.json; not an experiment directory"])
     summary = _read_json(run_dir / "summary.json")
     if not isinstance(summary, dict) or summary.get("mode") not in MODES or "config" not in summary:
-        raise QromlabError(f"{run_dir}/summary.json lacks a known mode or the config")
+        raise ConfigError([f"{run_dir}/summary.json lacks a known mode or the config"])
     mode = summary["mode"]
     cfg = ExperimentConfig.from_json(summary["config"])
+    problems = cfg.validate()
+    if problems:
+        raise ConfigError(problems)
     if mode == "pcc-search":
         return _replay_pcc_hit(run_dir)
 

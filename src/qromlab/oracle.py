@@ -23,6 +23,7 @@ alike: a fixed table is the oracle with every cell learned (see
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +80,7 @@ class OracleSpec:
 
     def all_tables(self):
         """Iterate every function table h as a tuple of range indices."""
-        n, q = self.domain_size, self.group.order
-        for idx in range(q**n):
-            digits = []
-            for _ in range(n):
-                digits.append(idx % q)
-                idx //= q
-            yield tuple(reversed(digits))
+        return itertools.product(range(self.group.order), repeat=self.domain_size)
 
 
 @dataclass(frozen=True)
@@ -304,12 +299,7 @@ def fourier_support_size(state: QuantumState) -> int:
         mask = mask.any(axis=other)
     if not mask.any():
         return 0
-    counts = np.zeros(mask.shape, dtype=np.int64)
-    for i in range(mask.ndim):
-        dim = mask.shape[i]
-        shape = [1] * mask.ndim
-        shape[i] = dim
-        counts = counts + (np.arange(dim) != 0).astype(np.int64).reshape(shape)
+    counts = (np.indices(mask.shape) != 0).sum(axis=0)  # non-flat cells of each basis state
     return int(counts[mask].max())
 
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .algebra import cyclic
 from .circuits import light_random_ops, run_purified
 from .errors import DomainError, QromlabError, typed
 from .oracle import (
@@ -191,10 +192,7 @@ def collapsed_pair_fixture(spec: OracleSpec | None = None):
     that level; at strict bounds the filter rejects them, which is the
     whole point of having one.
     """
-    if spec is None:
-        from .algebra import cyclic
-
-        spec = OracleSpec(2, cyclic(2))
+    spec = spec or OracleSpec(2, cyclic(2))
     base = init_purified(spec, [])
     phi = pin_cell(base, spec, 0, 0)
     psi = pin_cell(base, spec, 0, 1)

@@ -1,33 +1,34 @@
 """Two-party protocol descriptions and their execution engines.
 
-A protocol is a register declaration plus a list of rounds.  Every round
-is a straight-line program of unitaries and oracle queries; adaptivity
-enters only through classical message registers, which are frozen at
-their symbol when announced (``collapse_register``): later gates and
-queries read them as constants, and writing one is a validation
-violation.  The shape is the one the attack machinery expects: classical
-messages in both directions, then exactly one quantum message from Bob to
-Alice, with Bob's key fixed (frozen) before that message leaves his lab
-and Alice's key produced by a final map on her side plus the received
-message.  What the programs fix is computed, not declared: a round's
-message kind follows from the role of the register it sends, and the
-query budget d and the no-final-query flag are counted off the programs.
+A protocol is a register declaration plus a list of rounds.  Every round is a
+straight-line program of unitaries and oracle queries; adaptivity enters only
+through classical message registers, which are frozen at their symbol when
+announced (``collapse_register``): later gates and queries read them as
+constants, and writing one is a validation violation.  The shape is the one the
+attack machinery expects: classical messages in both directions, then exactly
+one quantum message from Bob to Alice, with Bob's key fixed (frozen) before that
+message leaves his lab and Alice's key produced by a final map on her side plus
+the received message.  What the programs fix is computed, not declared: a
+round's message kind follows from the role of the register it sends, the
+ensemble registers are Bob's other than his key, and the query budget d and the
+no-final-query flag are counted off the programs.
 
-Every program, a protocol round and a random circuit alike, is a sequence
-of the two instructions ``Gate`` and ``Query`` with one JSON encoding, and
+Every program, a protocol round and a random circuit alike, is a sequence of the
+two instructions ``Gate`` and ``Query`` with one JSON encoding, and
 ``apply_program`` is the one interpreter for it, with one query kernel
-(``oracle.oracle_query``).  A run starts from one of two initial oracle
-states: the purified oracle register (one joint pure state including the
-H cells) or a fixed table, which is that register with every cell frozen
-at its table value.  Agreement of the two is what the oracle-model tests
-pin down.
+(``oracle.oracle_query``).  Each gate is built and checked once per tuple of
+target dims (``Gate.resolved``), the one form the interpreter, ``validate`` and
+its write test read.  A run starts from one of two initial oracle states: the
+purified oracle register (one joint pure state including the H cells) or a fixed
+table, which is that register with every cell frozen at its table value.
+Agreement of the two is what the oracle-model tests pin down.
 
-Every run of a protocol walks its rounds with the one walker ``_walk``.
-At each classical message it follows the symbols a chooser picks: one
-sampled symbol (``run_purified``, ``run_concrete``), the forced symbol
-(``run_conditioned``) or every symbol with probability at least 1e-12
-(``enumerate_branches``).  Alice's final map runs through ``final_map``;
-``deliver`` is the one step that puts a received message on M first.
+Every run of a protocol walks its rounds with the one walker ``_walk``.  At each
+classical message it follows the symbols a chooser picks: one sampled symbol
+(``run_purified``, ``run_concrete``), the forced symbol (``run_conditioned``) or
+every symbol with probability at least 1e-12 (``enumerate_branches``).  Alice's
+final map runs through ``final_map``; ``deliver`` is the one step that puts a
+received message on M first.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,11 +91,30 @@ class ProtocolRegister:
 
 
 @dataclass(frozen=True, eq=False)
+class ResolvedGate:
+    """A gate's checked op ("matrix" or "perm") on targets of dims ``tdims``, its inverse
+    (both read-only) and ``moved``, the targets some image changes, built when first asked."""
+
+    kind: str
+    op: np.ndarray
+    inverse: np.ndarray
+    targets: tuple[str, ...]
+    tdims: tuple[int, ...]
+
+    @cached_property
+    def moved(self) -> frozenset[str]:
+        images, inputs = (np.nonzero(np.abs(self.op) > UNITARY_TOL) if self.kind == "matrix"
+                          else (self.op, np.arange(len(self.op))))
+        digits = np.indices(self.tdims).reshape(len(self.tdims), -1)
+        return frozenset(t for t, d in zip(self.targets, digits) if np.any(d[images] != d[inputs]))
+
+
+@dataclass(frozen=True, eq=False)
 class Gate:
     """A named unitary from the builtin library, or an explicit matrix.
 
-    An explicit ``matrix`` is a read-only complex array, applied as stored;
-    gates therefore compare by identity.
+    An explicit ``matrix`` is a read-only complex array, applied as stored; gates
+    therefore compare by identity.  A field the name does not use is a ProtocolShapeError.
     """
 
     name: str
@@ -101,6 +122,19 @@ class Gate:
     matrix: np.ndarray | None = None
     perm: tuple[int, ...] | None = None
     group: tuple[int, ...] | None = None
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for key, users in (("matrix", ("matrix",)), ("perm", ("permutation",)),
+                           ("group", ("fourier", "controlled-add"))):
+            if getattr(self, key) is not None and self.name not in users:
+                raise ProtocolShapeError(f"a {self.name!r} gate takes no {key}")
+
+    def resolved(self, tdims: tuple[int, ...]) -> ResolvedGate:
+        """The checked form for target dims ``tdims``, kept on first use (a race builds two)."""
+        if tdims not in self._forms:
+            self._forms[tdims] = _resolve_gate(self, tdims)
+        return self._forms[tdims]
 
     def to_json(self) -> dict:
         data: dict = {"op": "unitary", "name": self.name, "targets": list(self.targets)}
@@ -122,6 +156,10 @@ class Query:
     def __post_init__(self) -> None:
         if (self.x_reg is None) == (self.x_const is None):
             raise ProtocolShapeError("query needs exactly one of x_reg / x_const")
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        return (self.y_reg,) if self.x_reg is None else (self.y_reg, self.x_reg)
 
     def to_json(self) -> dict:
         data: dict = {"op": "query", "y": self.y_reg}
@@ -192,17 +230,14 @@ def controlled_add_gate(src: str, dst: str, group: GroupSpec | None = None) -> G
 
 
 def function_permutation(dims, fn) -> np.ndarray:
-    """Permutation on a product space from a reversible tuple function."""
+    """Table of a tuple function on a product space; resolving its gate checks it is a bijection."""
     dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    perm = np.empty(total, dtype=np.int64)
+    perm = np.empty(math.prod(dims), dtype=np.int64)
     for j, digits in enumerate(np.ndindex(*dims)):
         out = tuple(int(v) for v in fn(*digits))
         if len(out) != len(dims) or any(not 0 <= v < d for v, d in zip(out, dims)):
             raise DomainError(f"function output {out} outside register dims {dims}")
         perm[j] = int(np.ravel_multi_index(out, dims))
-    if sorted(perm.tolist()) != list(range(total)):
-        raise DomainError("function is not reversible on the given dims")
     return perm
 
 
@@ -215,8 +250,8 @@ class Step:
 
 @dataclass(frozen=True)
 class Protocol:
-    """Registers, rounds and Alice's final map.  The query budget d, the
-    no-final-query flag and each round's message kind are computed from them."""
+    """Registers, rounds and Alice's final map; d, the no-final-query flag, each
+    round's message kind and the ensemble registers are computed from them."""
 
     name: str
     group: GroupSpec
@@ -226,7 +261,6 @@ class Protocol:
     final_a_program: tuple
     key_reg_a: str
     key_reg_b: str
-    ensemble_regs: tuple[str, ...]
     amplitude_cap: int = DEFAULT_AMPLITUDE_CAP
 
     # -- structure helpers ----------------------------------------------
@@ -279,6 +313,11 @@ class Protocol:
         """Whether Alice's final map stays off the oracle, as the attack requires."""
         return query_count(self.final_a_program) == 0
 
+    @property
+    def ensemble_regs(self) -> tuple[str, ...]:
+        """Bob's registers other than his key, measured to split his message."""
+        return tuple(r for r in self.regs_with_role(ROLE_BOB) if r != self.key_reg_b)
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -312,9 +351,9 @@ class Protocol:
         """Inverse of ``to_json``; malformed input raises ProtocolShapeError.
 
         ``amplitude_cap`` may be absent (descriptions written before it
-        was recorded) and then takes the default.  ``query_budget``,
-        ``alice_no_final_query`` and a round's ``message_kind`` may be
-        absent; a stated one must equal the value the programs give.
+        was recorded) and then takes the default.  ``query_budget``, ``alice_no_final_query``,
+        ``ensemble_regs`` and a round's ``message_kind`` may be absent; a stated one must
+        equal the value the programs give.
         """
         with _shape_errors():
             return cls._parse_json(data)
@@ -343,12 +382,12 @@ class Protocol:
             ),
             key_reg_a=_typed(data["final_a"]["key_reg"], str, "final_a key_reg"),
             key_reg_b=_typed(data["final_b"]["key_reg"], str, "final_b key_reg"),
-            ensemble_regs=tuple(_typed_list(data["ensemble_regs"], str, "ensemble_regs entry")),
             amplitude_cap=_typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
                                  "amplitude_cap"),
         )
         stated = [(data, "query_budget", p.query_budget, "query_budget"),
-                  (data, "alice_no_final_query", p.alice_no_final_query, "alice_no_final_query")]
+                  (data, "alice_no_final_query", p.alice_no_final_query, "alice_no_final_query"),
+                  (data, "ensemble_regs", list(p.ensemble_regs), "ensemble_regs")]
         for i, (s, step) in enumerate(zip(data["rounds"], p.rounds)):
             kind = _typed(s.get("message_kind", "classical"), str, "round message_kind")
             if kind not in ("classical", "quantum"):
@@ -404,15 +443,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _program_targets(instr) -> list[str]:
-    if isinstance(instr, Gate):
-        return list(instr.targets)
-    regs = [instr.y_reg]
-    if instr.x_reg is not None:
-        regs.append(instr.x_reg)
-    return regs
 
 
 def validate(p: Protocol) -> ValidationReport:
@@ -488,9 +518,6 @@ def validate(p: Protocol) -> ValidationReport:
             rep.violations.append(
                 f"key register {key_reg!r} must be a dim-2 or dim-3 register of role {role}"
             )
-    for r in p.ensemble_regs:
-        if r not in dims or roles[r] != ROLE_BOB or r == p.key_reg_b:
-            rep.violations.append(f"ensemble register {r!r} must be Bob's, and not his key")
 
     total = math.prod(dims.values()) * p.group.order**p.domain_size
     if total > p.amplitude_cap:
@@ -504,7 +531,7 @@ def _check_program(p, program, where, allowed_roles, dims, roles, rep, announced
     """Append the violations of one program; ``announced`` registers are frozen
     by then, so the program may read them but never change them."""
     for instr in program:
-        targets = _program_targets(instr)
+        targets = list(instr.targets)
         for t in targets:
             if t not in dims:
                 rep.violations.append(f"{where}: unknown register {t!r}")
@@ -513,17 +540,12 @@ def _check_program(p, program, where, allowed_roles, dims, roles, rep, announced
                     f"{where}: register {t!r} (role {roles[t]}) is not accessible here"
                 )
         if isinstance(instr, Gate) and all(t in dims for t in targets):
-            # resolve once, then run the checks the kernels would run
             try:
-                kind, obj = _resolve_gate(instr, dims)
-                check = as_unitary if kind == "matrix" else as_permutation
-                check(obj, math.prod(dims[t] for t in targets))
-            except QromlabError as exc:
-                rep.violations.append(f"{where}: gate {instr.name!r} on {targets}: {exc}")
-            else:
                 if _moves(instr, dims, announced):
                     rep.violations.append(
                         f"{where}: gate {instr.name!r} changes an announced register")
+            except QromlabError as exc:
+                rep.violations.append(f"{where}: gate {instr.name!r} on {targets}: {exc}")
         if isinstance(instr, Query):
             if _moves(instr, dims, announced):
                 rep.violations.append(
@@ -546,28 +568,32 @@ def _moves(instr, dims: dict[str, int], regs) -> bool:
     its output register, a gate any target some image differs in."""
     if isinstance(instr, Query):
         return instr.y_reg in regs
-    positions = [i for i, t in enumerate(instr.targets) if t in regs]
-    if not positions:
-        return False
-    kind, obj = _resolve_gate(instr, dims)
-    tdims = tuple(dims[t] for t in instr.targets)
-    digits = np.indices(tdims).reshape(len(tdims), -1)
-    if kind == "perm":
-        image = np.unravel_index(obj, tdims)
-        return any(np.any(image[i] != digits[i]) for i in positions)
-    reach = np.abs(obj) > UNITARY_TOL  # rows are images, columns inputs
-    return any(np.any(reach & (digits[i][:, None] != digits[i])) for i in positions)
+    return not instr.resolved(tuple(dims[t] for t in instr.targets)).moved.isdisjoint(regs)
 
 
 # -- instruction application ----------------------------------------------
 
 
-def _resolve_gate(gate: Gate, dims: dict[str, int]):
+def _resolve_gate(gate: Gate, tdims: tuple[int, ...]) -> ResolvedGate:
+    """The one place a gate is built and checked, for targets of dims ``tdims``."""
+    kind, op = _builtin_op(gate, tdims)
+    if kind == "matrix":
+        op = as_unitary(op, math.prod(tdims)).view()  # the flags below stay off the caller's array
+        inverse = op.conj().T
+    else:
+        op = as_permutation(op, math.prod(tdims))
+        inverse = np.argsort(op)
+    op.setflags(write=False)
+    inverse.setflags(write=False)
+    return ResolvedGate(kind, op, inverse, gate.targets, tdims)
+
+
+def _builtin_op(gate: Gate, tdims: tuple[int, ...]):
+    """("matrix", u) or ("perm", table) for a gate, unchecked."""
     if gate.name == "matrix":
         if gate.matrix is None:
             raise ProtocolShapeError("matrix gate needs an explicit matrix")
-        return "matrix", np.asarray(gate.matrix, dtype=np.complex128)
-    tdims = tuple(dims[t] for t in gate.targets)
+        return "matrix", gate.matrix
     if gate.name == "hadamard":
         if tdims != (2,):
             raise ProtocolShapeError("hadamard acts on a single dim-2 register")
@@ -590,10 +616,8 @@ def _resolve_gate(gate: Gate, dims: dict[str, int]):
         g = GroupSpec(gate.group) if gate.group else cyclic(dst_dim)
         if g.order != dst_dim:
             raise ProtocolShapeError("controlled-add group order does not match destination")
-        perm = function_permutation(
-            (src_dim, dst_dim), lambda a, b: (a, g.add(b, a % dst_dim))
-        )
-        return "perm", perm
+        return "perm", function_permutation((src_dim, dst_dim),
+                                            lambda a, b: (a, g.add(b, a % dst_dim)))
     raise ProtocolShapeError(f"unknown builtin unitary {gate.name!r}")
 
 
@@ -607,7 +631,6 @@ def _apply_perm_with_fixed(state: QuantumState, perm: np.ndarray, targets, dims)
     live = [i for i, t in enumerate(targets) if t not in state.fixed]
     if len(live) == len(targets):
         return state.permute_basis(perm, targets)
-    perm = as_permutation(perm, math.prod(dims))
     at = tuple(state.fixed.get(t, slice(None)) for t in targets)
     grid = np.indices(dims)[(slice(None),) + at].reshape(len(dims), -1)
     image = np.unravel_index(perm[np.ravel_multi_index(grid, dims)], dims)
@@ -630,7 +653,7 @@ def _apply_matrix_with_fixed(state: QuantumState, u: np.ndarray, targets, dims):
     if len(live) < len(targets):
         at = tuple(state.fixed.get(t, slice(None)) for t in targets)
         block = math.prod(d for t, d in zip(targets, dims) if t in live)
-        u = as_unitary(u, math.prod(dims)).reshape(dims + dims)[at + at].reshape(block, block)
+        u = u.reshape(dims + dims)[at + at].reshape(block, block)
         if np.abs(np.linalg.norm(u, axis=0) - 1).max() > UNITARY_TOL:
             raise UnsupportedProtocolError("matrix moves a frozen register")
     return state.apply_unitary(u, live)
@@ -644,13 +667,10 @@ def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
     included, to its dimension.
     """
     if isinstance(instr, Gate):
-        kind, obj = _resolve_gate(instr, dims)
         tdims = tuple(dims[t] for t in instr.targets)
-        if kind == "matrix":
-            return _apply_matrix_with_fixed(state, obj.conj().T if inverse else obj,
-                                            instr.targets, tdims)
-        return _apply_perm_with_fixed(state, np.argsort(obj) if inverse else obj, instr.targets,
-                                      tdims)
+        form = instr.resolved(tdims)
+        apply = _apply_matrix_with_fixed if form.kind == "matrix" else _apply_perm_with_fixed
+        return apply(state, form.inverse if inverse else form.op, instr.targets, tdims)
 
     if not isinstance(instr, Query):
         raise ProtocolShapeError(f"unknown instruction {instr!r}")
@@ -747,8 +767,8 @@ def message_ensemble(state: QuantumState, p: Protocol) -> list[EnsembleComponent
 
     Every branch must leave the message register in a pure state that is
     in a product with the rest of the system; protocols are required to
-    be written so this holds (pick ensemble registers that purify the
-    message).
+    be written so this holds (Bob's registers other than his key must
+    purify the message).
     """
     m_reg = p.message_reg()
     layout = state.layout

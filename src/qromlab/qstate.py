@@ -324,9 +324,7 @@ class QuantumState:
         """Record a register that exists only as a frozen classical value."""
         if name in self.layout or name in self.fixed:
             raise LayoutError(f"register {name!r} already present")
-        fixed = dict(self.fixed)
-        fixed[name] = int(value)
-        return QuantumState(self.layout, self.amps, fixed)
+        return QuantumState(self.layout, self.amps, {**self.fixed, name: int(value)})
 
     def rename_register(self, old: str, new: str) -> "QuantumState":
         if old in self.fixed:
@@ -440,12 +438,8 @@ class DensityOperator:
     def eig_ensemble(self, tol: float = 1e-12) -> list[tuple[float, np.ndarray]]:
         """Spectral decomposition as a pure-state ensemble, heaviest first."""
         evals, evecs = np.linalg.eigh(self.matrix)
-        out = []
-        for i in range(len(evals) - 1, -1, -1):
-            p = float(evals[i])
-            if p > tol:
-                out.append((p, canonical_phase(evecs[:, i])))
-        return out
+        return [(float(evals[i]), canonical_phase(evecs[:, i]))
+                for i in range(len(evals) - 1, -1, -1) if evals[i] > tol]
 
 
 def canonical_phase(vector: np.ndarray) -> np.ndarray:

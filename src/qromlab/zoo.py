@@ -93,7 +93,6 @@ def announced_query_protocol(domain_size: int, group: GroupSpec | None = None) -
         final_a_program=(_compare_into_key(g, "M", "YA", "KA"),),
         key_reg_a="KA",
         key_reg_b="KB",
-        ensemble_regs=("YB",),
     )
 
 
@@ -163,7 +162,6 @@ def merkle_ka_protocol(
         ),
         key_reg_a="KA",
         key_reg_b="KB",
-        ensemble_regs=("YB",),
     )
 
 
@@ -215,7 +213,6 @@ def trivial_last_message_protocol(domain_size: int, group: GroupSpec | None = No
         ),
         key_reg_a="KA",
         key_reg_b="KB",
-        ensemble_regs=("EB",),
     )
 
 
@@ -238,7 +235,6 @@ def constant_key_protocol(domain_size: int = 2, group: GroupSpec | None = None) 
         final_a_program=(),
         key_reg_a="KA",
         key_reg_b="KB",
-        ensemble_regs=(),
     )
 
 
@@ -356,7 +352,6 @@ def ka_from_qpke(scheme: QpkeScheme) -> Protocol:
         final_a_program=tuple(scheme.dec_program),
         key_reg_a="KA",
         key_reg_b="KB",
-        ensemble_regs=("YB",),
     )
 
 

@@ -56,7 +56,6 @@ def micro_protocol():
         final_a_program=(permutation_gate(perm, ("M", "E0", "KA")),),
         key_reg_a="KA",
         key_reg_b="KB",
-        ensemble_regs=(),
     )
 
 

@@ -198,6 +198,7 @@ def test_replay_notices_a_tampered_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ReplayMismatchError, match="eq_find"):
         cli.replay(1, cfg.out_dir)
+    assert cli.main(["replay", "1", cfg.out_dir]) == 1
 
 
 def broken_announced():
@@ -322,6 +323,8 @@ def mistyped_hit(delta, d, read_delta=1.0, read_d=2):
     damaged(json.dumps({"mode": "nope", "config": {"mode": "attack"}})),
     damaged(json.dumps([1, 2])),
     damaged(json.dumps({"mode": "attack", "config": ATTACK_CONFIG}), id="no-sweeps"),
+    damaged(json.dumps({"mode": "attack", "config": ATTACK_CONFIG | {"n": "4"}}),
+            match="n must be an integer", id="config-n-text"),
     damaged(json.dumps({"mode": "attack", "config": ATTACK_CONFIG, "sweeps": [{"eps": 0.05}]}),
             id="sweep-without-csv"),
     damaged(json.dumps({"mode": "attack", "config": ATTACK_CONFIG,
@@ -352,9 +355,9 @@ def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary, hit, match)
     if hit is not None:
         (tmp_path / "dumps").mkdir()
         (tmp_path / "dumps" / "pcc_hit.json").write_text(hit)
-    with pytest.raises(QromlabError, match=match):
+    with pytest.raises(ConfigError, match=match):
         cli.replay(0, tmp_path)
-    assert cli.main(["replay", "0", str(tmp_path)]) == 1
+    assert cli.main(["replay", "0", str(tmp_path)]) == 2
     assert match in capsys.readouterr().err
 
 
@@ -424,6 +427,21 @@ def test_bad_round_or_gate_is_a_config_error(tmp_path, capsys, edit, problem):
     }))
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_gate_field_its_name_does_not_use_is_a_config_error(tmp_path, capsys):
+    data = zoo.announced_query_protocol(4).to_json()
+    fourier = data["rounds"][0]["program"][0]
+    assert fourier["name"] == "fourier"
+    fourier.update(perm=[1, 0, 3, 2], matrix=IDENTITY_3)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "attack", "protocol_json": data, "n": 4, "trials": 1,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert "a 'fourier' gate takes no matrix" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -501,7 +519,7 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
     assert "trials" in err and "nope" in err
 
     assert cli.main(["describe", "announced-query", "--n", "4"]) == 0
-    assert cli.main(["replay", "0", str(tmp_path / "void")]) == 1
+    assert cli.main(["replay", "0", str(tmp_path / "void")]) == 2
 
 
 @pytest.mark.parametrize("key,value", [

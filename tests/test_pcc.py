@@ -200,7 +200,6 @@ def leaky_protocol():
         final_a_program=(),
         key_reg_a="KA",
         key_reg_b="KB",
-        ensemble_regs=(),
     )
 
 

@@ -10,6 +10,8 @@ probabilities, ensembles, final map) can be checked by hand.
 import dataclasses
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,7 +97,6 @@ def tiny_protocol():
         ),
         key_reg_a="KA",
         key_reg_b="KB",
-        ensemble_regs=(),
     )
 
 
@@ -128,9 +129,6 @@ def test_validate_catches_shape_problems():
 
     rep = proto.validate(dataclasses.replace(p, key_reg_a="T1"))
     assert any("key register" in v for v in rep.violations)
-
-    rep = proto.validate(dataclasses.replace(p, ensemble_regs=("YA",)))
-    assert any("ensemble" in v for v in rep.violations)
 
     extra_quantum = (
         dataclasses.replace(p.rounds[0], message="M"),
@@ -299,30 +297,36 @@ def test_sampled_runs_are_seed_deterministic():
 
 def test_ensemble_registers_split_the_message():
     p = tiny_protocol()
-    regs = p.registers + (proto.ProtocolRegister("B0", 2, "B"),)
-    bob = proto.Step(
-        party="B",
-        program=(
-            proto.Query("YB", x_reg="T1"),
-            proto.controlled_add_gate("YB", "KB"),
-            proto.hadamard_gate("B0"),
-            proto.controlled_add_gate("B0", "M"),
-        ),
-        message="M",
-    )
-    entangling = dataclasses.replace(
-        p, registers=regs, rounds=(p.rounds[0], bob), ensemble_regs=("B0",)
-    )
+
+    def with_bob_entangling(reg):
+        """tiny_protocol plus a register ``reg`` Bob puts in |+> and adds into M."""
+        bob = proto.Step(
+            party="B",
+            program=(
+                proto.Query("YB", x_reg="T1"),
+                proto.controlled_add_gate("YB", "KB"),
+                proto.hadamard_gate(reg.name),
+                proto.controlled_add_gate(reg.name, "M"),
+            ),
+            message="M",
+        )
+        return dataclasses.replace(p, registers=p.registers + (reg,), rounds=(p.rounds[0], bob))
+
+    entangling = with_bob_entangling(proto.ProtocolRegister("B0", 2, "B"))
+    assert entangling.ensemble_regs == ("YB", "B0")
     trace = proto.run_concrete(entangling, (1, 0), seed=3, honest=False)
     assert len(trace.ensemble) == 2
     weights = sorted(c.weight for c in trace.ensemble)
     assert weights == pytest.approx([0.5, 0.5])
     for comp in trace.ensemble:
         expected = np.zeros(2)
-        expected[comp.values[0]] = 1.0
+        expected[comp.values[1]] = 1.0
         assert np.allclose(comp.vector, expected)
 
-    unmeasured = dataclasses.replace(entangling, ensemble_regs=())
+    # M entangled with a transcript register Bob never announces: none of
+    # Bob's registers purifies it, so the message is not pure in any branch
+    unmeasured = with_bob_entangling(proto.ProtocolRegister("T9", 2, "T"))
+    assert unmeasured.ensemble_regs == ("YB",)
     with pytest.raises(UnsupportedProtocolError):
         proto.run_concrete(unmeasured, (1, 0), seed=3, honest=False)
 
@@ -762,14 +766,71 @@ def test_validate_reports_a_write_to_an_announced_register(where, instr):
         proto.joint_distribution(p, table=(1, 1))
 
 
-def test_validate_reports_bobs_key_among_the_ensemble_registers():
-    rep = proto.validate(dataclasses.replace(tiny_protocol(), ensemble_regs=("KB",)))
-    assert any("ensemble register 'KB'" in v for v in rep.violations)
-
-
 @pytest.mark.parametrize("group", [["2"], [2.9], [True], [2.0], "2"])
 def test_a_mistyped_group_factor_is_a_shape_error(group):
     data = tiny_protocol().to_json()
     data["group"] = group
     with pytest.raises(ProtocolShapeError, match="group factor"):
         proto.Protocol.from_json(data)
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("fourier", "matrix", [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]),
+    ("hadamard", "perm", [1, 0]),
+    ("permutation", "group", [2]),
+])
+def test_a_gate_field_its_name_does_not_use_is_a_shape_error(name, key, value):
+    data = tiny_protocol().to_json()
+    gate = {"op": "unitary", "name": name, "targets": ["T1"], "perm": [1, 0], key: value}
+    data["rounds"][0]["program"][0] = gate
+    with pytest.raises(ProtocolShapeError, match=f"a {name!r} gate takes no {key}"):
+        proto.Protocol.from_json(data)
+
+
+def test_a_builtin_gate_is_built_once_however_often_it_runs(monkeypatch):
+    p = zoo.merkle_ka_protocol(8)
+    built = []
+    real = proto.function_permutation
+    monkeypatch.setattr(proto, "function_permutation",
+                        lambda dims, fn: built.append(dims) or real(dims, fn))
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        table = tuple(int(v) for v in rng.integers(0, 2, size=8))
+        atk.full_attack(p, 0.05, 0.05, table, seed=rng)
+    # one table per controlled-add gate of Bob's round
+    assert len(built) <= 2
+
+
+def test_one_gate_object_keeps_one_resolved_form_per_target_dims():
+    gate = proto.fourier_gate("T1")
+    rng = np.random.default_rng(3)
+    for dim in (4, 8, 4):
+        layout = RegisterLayout([Register("T1", dim), Register("W", 2)])
+        v = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+        state = QuantumState.from_vector(layout, v / np.linalg.norm(v))
+        for inverse in (False, True):
+            got = proto.apply_instruction(state, gate, {"T1": dim}, inverse=inverse)
+            fresh = proto.apply_instruction(state, proto.fourier_gate("T1"), {"T1": dim},
+                                            inverse=inverse)
+            assert np.array_equal(got.amps, fresh.amps)
+        form = gate.resolved((dim,))
+        assert not form.op.flags.writeable and not form.inverse.flags.writeable
+    assert gate.resolved((4,)) is form and gate.resolved((8,)) is not form
+
+
+def test_threads_sharing_a_protocol_get_the_sequential_results():
+    # the CLI's pool threads share one protocol, so they race to resolve its gates
+    table = (1, 0, 1, 1)
+    expect = proto.joint_distribution(zoo.merkle_ka_protocol(4), table=table)
+    p = zoo.merkle_ka_protocol(4)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(proto.joint_distribution, p, table) for _ in range(16)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(r == expect for r in results)
+    gates = [i for s in p.rounds for i in s.program if isinstance(i, proto.Gate)]
+    assert gates and all(len(g._forms) == 1 for g in gates)

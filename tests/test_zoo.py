@@ -217,7 +217,7 @@ def test_budget_flag_and_kinds_are_not_fields():
     names = {f.name for cls in (proto.Protocol, proto.Step, zoo.QpkeScheme)
              for f in dataclasses.fields(cls)}
     assert not names & {"query_budget", "alice_no_final_query", "message_kind",
-                        "dec_queries_oracle"}
+                        "dec_queries_oracle", "ensemble_regs"}
 
 
 def test_zoo_json_is_unchanged():
