@@ -2,16 +2,17 @@
 
 A protocol is a register declaration plus a list of rounds.  Every round is a
 straight-line program of unitaries and oracle queries; adaptivity enters only
-through classical message registers, which are frozen at their symbol when
-announced (``collapse_register``): later gates and queries read them as
-constants, and writing one is a validation violation.  The shape is the one the
-attack machinery expects: classical messages in both directions, then exactly
-one quantum message from Bob to Alice, with Bob's key fixed (frozen) before that
-message leaves his lab and Alice's key produced by a final map on her side plus
-the received message.  What the programs fix is computed, not declared: a
-round's message kind follows from the role of the register it sends, the
-ensemble registers are Bob's other than his key, and the query budget d and the
-no-final-query flag are counted off the programs.
+through classical message registers.  Each is measured right after its round's
+last write and frozen at its symbol (``collapse_register``): the rest of the
+round and every later round read it as a constant, and writing one after its
+round is a validation violation.  The shape is the one the attack machinery
+expects: classical messages in both directions, then exactly one quantum message
+from Bob to Alice, with Bob's key fixed (frozen) before that message leaves his
+lab and Alice's key produced by a final map on her side plus the received
+message.  What the programs fix is computed, not declared: a round's message
+kind follows from the role of the register it sends, the ensemble registers are
+Bob's other than his key, and the query budget d and the no-final-query flag are
+counted off the programs.
 
 Every program, a protocol round and a random circuit alike, is a sequence of the
 two instructions ``Gate`` and ``Query`` with one JSON encoding, and
@@ -728,11 +729,14 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
 def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]:
     """Walk the rounds, following at each classical message the symbols ``choose`` picks.
 
-    ``choose(state, message, position)`` sees the state before the message
-    is read and the number of symbols already sent.  Returns ``(state,
-    transcript, per-message probabilities)`` for each path, depth first.
-    Each followed symbol is frozen into its branch (``collapse_register``),
-    and a measured parent state is dropped as soon as its branches exist.
+    A message is measured right after its round's last write (``_moves``), and
+    the rest of the round runs on each branch with it frozen: measurement
+    commutes with instructions that only read it.  ``choose(state, message,
+    position)`` sees the state at that point and the number of symbols already
+    sent.  Returns ``(state, transcript, per-message probabilities)`` for each
+    path, depth first.  Each followed symbol is frozen into its branch
+    (``collapse_register``), and a measured parent state is dropped as soon as
+    its branches exist.
     """
     dims = p.reg_dims()
     done = []
@@ -741,14 +745,19 @@ def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]
         first, state, transcript, probs = todo.pop()
         for r in range(first, len(p.rounds)):
             step = p.rounds[r]
-            state = apply_program(state, step.program, dims)
-            if step.message is not None and p.message_kind(step) == "classical":
-                # pushed last symbol first, so the first is walked first
-                for sym in reversed(choose(state, step.message, len(transcript))):
-                    child, pr = state.collapse_register(step.message, sym)
-                    todo.append((r + 1, child, transcript + (sym,), probs + (pr,)))
-                    del child  # the worklist holds the only reference
-                break
+            if step.message is None or p.message_kind(step) != "classical":
+                state = apply_program(state, step.program, dims)
+                continue
+            cut = max((i + 1 for i, instr in enumerate(step.program)
+                       if _moves(instr, dims, {step.message})), default=0)
+            state = apply_program(state, step.program[:cut], dims)
+            # pushed last symbol first, so the first is walked first
+            for sym in reversed(choose(state, step.message, len(transcript))):
+                child, pr = state.collapse_register(step.message, sym)
+                child = apply_program(child, step.program[cut:], dims)
+                todo.append((r + 1, child, transcript + (sym,), probs + (pr,)))
+                del child  # the worklist holds the only reference
+            break
         else:
             done.append((state, transcript, probs))
     return done

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qromlab import attack as atk
-from qromlab import circuits, zoo
+from qromlab import circuits, oracle, zoo
 from qromlab import protocol as proto
 from qromlab.algebra import GroupSpec, cyclic
 from qromlab.errors import (
@@ -684,6 +684,86 @@ def test_a_matrix_gate_reads_an_announced_register_as_a_control():
         k = table[trace.transcript[0]]
         want = np.eye(3)[k] if trace.transcript == (0,) else (np.eye(3)[k] + np.eye(3)[2]) / 2
         assert np.allclose(got, want)
+
+
+def whole_round_walk(p, table=None):
+    """Reference for ``_walk``: every round runs whole, then its message is measured.
+    Returns {transcript: (state, probability)} for every symbol of probability >= 1e-12."""
+    dims = p.reg_dims()
+    paths = [(proto._initial_state(p, table), (), 1.0)]
+    for step in p.rounds:
+        paths = [(proto.apply_program(s, step.program, dims), t, pr) for s, t, pr in paths]
+        if step.message is None or p.message_kind(step) != "classical":
+            continue
+        grown = []
+        for state, transcript, prob in paths:
+            for sym, q in enumerate(state.probabilities(step.message)):
+                if q >= 1e-12:
+                    child, pr = state.collapse_register(step.message, sym)
+                    grown.append((child, transcript + (sym,), prob * pr))
+        paths = grown
+    return {t: (s, pr) for s, t, pr in paths}
+
+
+def assert_walks_agree(p, table=None):
+    """enumerate_branches and run_conditioned match the whole-round reference on every
+    transcript: same layout, same frozen values, probability and amplitudes within 1e-12."""
+    want = whole_round_walk(p, table)
+    branches = proto.enumerate_branches(p, table)
+    assert [b.transcript for b in branches] == sorted(want)
+    for b in branches:
+        for state, prob in ((b.state, b.probability),
+                            proto.run_conditioned(p, b.transcript, table)):
+            ref, ref_prob = want[b.transcript]
+            assert state.layout.names == ref.layout.names and state.fixed == ref.fixed
+            assert abs(prob - ref_prob) <= 1e-12
+            assert np.abs(state.amps - ref.amps).max() <= 1e-12
+
+
+@pytest.mark.parametrize("table", [None, (1, 0, 1, 1)], ids=["purified", "table"])
+@pytest.mark.parametrize("group", [(2,), (3,)], ids=["Z2", "Z3"])
+@pytest.mark.parametrize("name", sorted(zoo.standard_zoo(4)))
+def test_measuring_at_the_last_write_equals_measuring_after_the_round(name, group, table):
+    assert_walks_agree(zoo.standard_zoo(4, GroupSpec(group))[name], table)
+
+
+def with_first_round(*program):
+    """tiny_protocol with Alice's round-A program replaced; she still sends T1."""
+    p = tiny_protocol()
+    return dataclasses.replace(p, rounds=(proto.Step("A", program, "T1"), p.rounds[1]))
+
+
+@pytest.mark.parametrize("p", [
+    # T1 is written again after the query reads it: the cut is the last write
+    with_first_round(proto.fourier_gate("T1"), proto.Query("YA", x_reg="T1"),
+                     proto.controlled_add_gate("YA", "T1")),
+    # a round that never writes T1 measures it at its start (cut 0)
+    dataclasses.replace(tiny_protocol(), rounds=(
+        proto.Step("A", (proto.fourier_gate("T1"),)),
+        proto.Step("A", (proto.Query("YA", x_reg="T1"),), "T1"), tiny_protocol().rounds[1])),
+    # a controlled-Hadamard reads the frozen T1 after the cut
+    with_first_round(proto.fourier_gate("T1"), proto.Query("YA", x_reg="T1"),
+                     proto.matrix_gate(controlled_hadamard(), ("T1", "YA"))),
+], ids=["rewritten-after-a-read", "never-written", "controlled-hadamard-after-the-cut"])
+def test_an_edge_case_round_measures_like_the_whole_round(p):
+    for table in [None] + all_tables():
+        assert_walks_agree(p, table)
+
+
+def test_the_query_after_the_last_write_reads_the_message_frozen(monkeypatch):
+    p = zoo.announced_query_protocol(4)
+    seen = []
+    query = oracle.oracle_query
+
+    def spy(state, y_reg, **kw):
+        seen.append((y_reg, dict(state.fixed), state.amps.size))
+        return query(state, y_reg, **kw)
+
+    monkeypatch.setattr(oracle, "oracle_query", spy)
+    proto.run_conditioned(p, (3,))
+    full = math.prod(p.reg_dims().values()) * p.group.order ** p.domain_size
+    # Alice's round-A query runs on T1's branch alone, a quarter of the full state
+    assert seen[0] == ("YA", {"T1": 3}, full // 4)
 
 
 def hadamard_decode_protocol():

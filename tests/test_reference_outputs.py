@@ -2,7 +2,8 @@
 
 perfbench/reference.json holds the outputs of every request a benchmark
 run at ``reference.SEED`` makes.  Here the first 150 attack-n8 requests
-(50 per protocol, round-robin) and the first 20 blind-guess-n8 requests
+(50 per protocol, round-robin), the first 20 blind-guess-n8 requests and
+the first 10 cli-learner-n8 requests (4 CSV rows and one summary each)
 run through perfbench/workloads.py, and the workload's own ``check``
 must find no failed trial and no problem: each record against its
 reference value, and the success-rate and min-eq aggregates.
@@ -21,8 +22,12 @@ import reference  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name, calls", [("attack-n8", 150), ("blind-guess-n8", 20)])
-def test_recorded_benchmark_outputs_replay(name, calls, tmp_path):
+@pytest.mark.parametrize("name, calls, rows", [
+    pytest.param("attack-n8", 150, 150, id="attack-n8-150"),
+    pytest.param("blind-guess-n8", 20, 20, id="blind-guess-n8-20"),
+    pytest.param("cli-learner-n8", 10, 40, id="cli-learner-n8-10"),
+])
+def test_recorded_benchmark_outputs_replay(name, calls, rows, tmp_path):
     wl = workloads.WORKLOADS[name]
     ctx = wl.setup(reference.SEED, tmp_path)
     records = []
@@ -32,5 +37,5 @@ def test_recorded_benchmark_outputs_replay(name, calls, tmp_path):
     finally:
         wl.teardown(ctx)
     ref = reference.load(name)
-    assert len(records) == calls and all(rec["key"] in ref for rec in records)
+    assert len(records) == rows and all(rec["key"] in ref for rec in records)
     assert wl.check(records, ref) == (0, [])
