@@ -7,6 +7,19 @@ initial state is the all-zeros basis vector and a query only touches the
 cell it addresses.  Converting a cell to the computational basis means
 applying the group's Fourier matrix to that axis.
 
+A cell is in one of three states:
+
+- untouched: no query has addressed it, so it is exactly |0̂⟩ and is not
+  stored at all (neither in the layout nor in ``fixed``);
+- live: an axis of the dense array, added at |0̂⟩ by the first query that
+  can address it (``add_cells``), in domain order within the cell block;
+- frozen: projected onto a computational value and kept in ``fixed``.
+
+Every reader below treats an untouched cell as |0̂⟩: it weighs 0, takes
+every value in the computational support and is learned with
+probability 1/|Y|.  A state that holds every cell (a loaded dump, an
+explicit full layout) runs the same code.
+
 A query is one pass of a fused |Y|²×|Y|² unitary over the (y, cell) axes:
 the Fourier-picture shift of the cell by y, conjugated by y's Fourier
 rotation and built once per group (see ``oracle_query``).  All weights
@@ -15,7 +28,7 @@ come from one pass over |amps|² (see ``all_weights``).
 A learned cell is projected onto a computational value and then sliced
 out of the dense array; its value is kept in ``state.fixed``.  Weights of
 learned cells are 0 by definition and the Fourier support is counted over
-the remaining cells.  Frozen cells serve learned points and fixed tables
+the live cells.  Frozen cells serve learned points and fixed tables
 alike: a fixed table is the oracle with every cell learned (see
 ``init_table``), so one query kernel runs purified and concrete states.
 """
@@ -128,15 +141,35 @@ def init_purified(
     work_registers=(),
     amplitude_cap: int = DEFAULT_AMPLITUDE_CAP,
 ) -> QuantumState:
-    """Uniform-over-all-tables oracle state, with optional work registers in front.
+    """Uniform-over-all-tables oracle state: the work registers at |0>.
 
-    In the Fourier encoding the uniform superposition is a single basis
-    vector, so this is the all-zeros state.
+    In the Fourier encoding the uniform superposition is the all-zeros
+    vector, so every cell starts untouched and only the work registers
+    are stored; each cell joins the layout when a query first addresses it.
     """
-    regs = list(work_registers) + spec.registers()
-    layout = RegisterLayout(regs, group=spec.group, domain_size=spec.domain_size,
+    layout = RegisterLayout(work_registers, group=spec.group, domain_size=spec.domain_size,
                             amplitude_cap=amplitude_cap)
     return QuantumState.zero(layout)
+
+
+def add_cells(state: QuantumState, xs) -> QuantumState:
+    """``state`` with every untouched cell among ``xs`` made live at |0̂⟩.
+
+    Live and frozen cells are left as they are.  The cell block stays in
+    domain order, so a state that ends up holding every cell has the
+    full layout.
+    """
+    spec = spec_of(state)
+    old = state.layout
+    new = {spec.cell_name(x) for x in xs} - set(old.names) - set(state.fixed)
+    if not new:
+        return state
+    cells = [r for r in spec.registers() if r.name in old or r.name in new]
+    layout = RegisterLayout([r for r in old.registers if r.kind != KIND_ORACLE] + cells,
+                            old.group, old.domain_size, old.amplitude_cap)
+    amps = np.zeros(layout.dims, dtype=np.complex128)
+    amps[tuple(slice(None) if n in old else 0 for n in layout.names)] = state.amps
+    return QuantumState(layout, amps, dict(state.fixed))
 
 
 def check_table(spec: OracleSpec, table) -> tuple[int, ...]:
@@ -196,10 +229,13 @@ def oracle_query(
     classical constants they hold.
     ``inverse`` applies the adjoint (y -> y - h(x)).
 
-    Each addressed live cell takes one pass of the |Y|²×|Y|² fused
-    unitary over its (y, cell) axes; a learned cell with value v is the
-    permutation y -> y ± v.  A constant address costs one pass over the
-    state, an address register one pass over each of its slices.
+    Every untouched cell the address can reach is first made live
+    (``add_cells``): the constant's cell, or cells 0..k-1 for an address
+    register of dimension k.  Each addressed live cell takes one pass of
+    the |Y|²×|Y|² fused unitary over its (y, cell) axes; a learned cell
+    with value v is the permutation y -> y ± v.  A constant address costs
+    one pass over the state, an address register one pass over each of
+    its slices.
     """
     spec = spec_of(state)
     group = spec.group
@@ -213,6 +249,18 @@ def oracle_query(
         raise DimensionMismatchError(
             f"query output register {y_reg!r} must have dimension {group.order}"
         )
+    if x_const is not None:
+        x_const = int(x_const)
+        if not 0 <= x_const < spec.domain_size:
+            raise DomainError(f"x_const {x_const} outside the oracle domain")
+        state = add_cells(state, [x_const])
+    else:
+        x_dim = state.layout.dim(x_reg)
+        if x_dim > spec.domain_size:
+            raise DimensionMismatchError(
+                f"address register {x_reg!r} has dimension {x_dim} > domain {spec.domain_size}"
+            )
+        state = add_cells(state, range(x_dim))
     y_ax = state.layout.axis(y_reg)
     fused = _query_unitary(group, bool(inverse))
 
@@ -228,16 +276,8 @@ def oracle_query(
         return apply_matrix(amps, fused, [ax(y_ax), ax(state.layout.axis(cell))])
 
     if x_const is not None:
-        x = int(x_const)
-        if not 0 <= x < spec.domain_size:
-            raise DomainError(f"x_const {x} outside the oracle domain")
-        out = query_cell(state.amps, x, None)
+        out = query_cell(state.amps, x_const, None)
     else:
-        x_dim = state.layout.dim(x_reg)
-        if x_dim > spec.domain_size:
-            raise DimensionMismatchError(
-                f"address register {x_reg!r} has dimension {x_dim} > domain {spec.domain_size}"
-            )
         x_ax = state.layout.axis(x_reg)
         out = np.empty_like(state.amps)
         idx = [slice(None)] * state.amps.ndim
@@ -251,7 +291,7 @@ def oracle_query(
 def weight(state: QuantumState, x: int) -> float:
     """Probability mass on non-trivial Fourier components of cell x.
 
-    Learned (collapsed) cells weigh 0.
+    Untouched and learned (collapsed) cells weigh 0.
     """
     spec_of(state).cell_name(x)  # rejects points outside the domain
     return float(all_weights(state)[int(x)])
@@ -263,10 +303,11 @@ def all_weights(state: QuantumState) -> np.ndarray:
     The squared amplitudes are summed down to their marginal on the live
     oracle cells, which are the last axes and have |Y|^live entries.  A
     cell's flat mass is that marginal's sum at its Fourier index 0, and
-    its weight is 1 - flat mass / total.  Learned cells weigh 0.
+    its weight is 1 - flat mass / total.  Untouched and learned cells
+    weigh 0.
     """
     spec = spec_of(state)
-    live = [x for x in range(spec.domain_size) if spec.cell_name(x) not in state.fixed]
+    live = [x for x in range(spec.domain_size) if spec.cell_name(x) in state.layout]
     p = np.abs(state.amps) ** 2
     first = p.ndim - len(live)
     marginal = p.reshape(-1, *p.shape[first:]).sum(axis=0)
@@ -286,9 +327,10 @@ def fourier_support_size(state: QuantumState) -> int:
 
     Each oracle query can grow this by at most one; projecting a partial
     oracle never grows it (the projected cells leave the count).
+    Untouched cells are flat everywhere and count for nothing.
     """
     spec = spec_of(state)
-    live = [n for n in spec.cell_names() if n not in state.fixed]
+    live = [n for n in spec.cell_names() if n in state.layout]
     if not live:
         return 0
     axes = tuple(state.layout.axis(n) for n in live)
@@ -306,8 +348,10 @@ def fourier_support_size(state: QuantumState) -> int:
 def project_partial(state: QuantumState, partial: PartialOracle) -> tuple[QuantumState, float]:
     """Condition the oracle on agreeing with a partial function.
 
-    Each constrained cell is rotated to the computational basis, projected
-    onto its value, renormalized and sliced out of the dense array.
+    Each constrained live cell is rotated to the computational basis,
+    projected onto its value, renormalized and sliced out of the dense
+    array.  An untouched cell is uniform over the range, so it freezes
+    with probability exactly 1/|Y| and no pass over the amplitudes.
     Returns the conditioned state and the total branch probability.
     Contradicting an already-collapsed cell is a zero-probability branch.
     """
@@ -325,6 +369,10 @@ def project_partial(state: QuantumState, partial: PartialOracle) -> tuple[Quantu
                     f"cell {cell} already collapsed to {current.fixed[cell]}, asked for {y}"
                 )
             continue
+        if cell not in current.layout:
+            current = current.attach_fixed(cell, y)
+            prob *= 1.0 / spec.group.order
+            continue
         rotated = current.apply_unitary(fourier, [cell])
         current, p = rotated.collapse_register(cell, y)
         prob *= p
@@ -334,7 +382,8 @@ def project_partial(state: QuantumState, partial: PartialOracle) -> tuple[Quantu
 def computational_support(state: QuantumState) -> set[tuple[int, ...]]:
     """Set of full function tables carrying probability mass above 1e-12.
 
-    Collapsed cells contribute their frozen value to every table.  The
+    Collapsed cells contribute their frozen value to every table.  Untouched
+    cells are made live first, so each takes every value.  The
     enumeration is capped at 2^16 tables; use it only at desk scale.
     """
     spec = spec_of(state)
@@ -343,6 +392,7 @@ def computational_support(state: QuantumState) -> set[tuple[int, ...]]:
             f"{spec.function_count()} candidate tables exceed the cap {MAX_SUPPORT_FUNCTIONS}"
         )
     fourier = spec.group.fourier_matrix
+    state = add_cells(state, range(spec.domain_size))
     live = [n for n in spec.cell_names() if n not in state.fixed]
     rotated = state
     for cell in live:

@@ -19,6 +19,7 @@ from .circuits import light_random_ops, run_purified
 from .errors import DomainError, QromlabError, typed
 from .oracle import (
     OracleSpec,
+    add_cells,
     all_weights,
     check_table,
     computational_support,
@@ -170,7 +171,7 @@ def pin_cell(state: QuantumState, spec: OracleSpec, x: int, value: int) -> Quant
 
     The cell stays a quantum register (weight 1 - 1/|Y|), unlike a
     learner extraction which turns it classical.  Assumes the cell is
-    still in the flat state.
+    still in the flat state; an untouched cell is made live first.
     """
     q = spec.group.order
     if not 0 <= value < q:
@@ -181,7 +182,7 @@ def pin_cell(state: QuantumState, spec: OracleSpec, x: int, value: int) -> Quant
         swap[[0, value]] = swap[[value, 0]]
     # first column is the Fourier-coordinate vector of |value>
     pin = fourier.conj().T @ swap
-    return state.apply_unitary(pin, [spec.cell_name(x)])
+    return add_cells(state, [x]).apply_unitary(pin, [spec.cell_name(x)])
 
 
 def collapsed_pair_fixture(spec: OracleSpec | None = None):

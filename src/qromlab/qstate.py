@@ -5,6 +5,13 @@ dimensions in declaration order.  Oracle-cell registers always come last
 in the layout, so truncating a learned cell is a contiguous slice.
 Registers that have been truncated away live on in ``fixed`` with the
 basis value they were frozen at.
+
+An oracle cell is in one of three states: untouched (in neither the
+layout nor ``fixed``, and implicitly the flat Fourier state |0̂⟩), live
+(an axis of the array) or frozen (in ``fixed``).  ``oracle.add_cells``
+makes untouched cells live when a query first reaches them, so a layout
+that carries an oracle may hold no register at all: its state is then a
+single amplitude.
 """
 
 from __future__ import annotations
@@ -55,8 +62,9 @@ class RegisterLayout:
     """Ordered collection of named registers plus optional oracle metadata.
 
     ``group`` and ``domain_size`` describe the oracle range and domain when
-    the state talks to an oracle, live cells or frozen ones (fixed-table
-    runs); they stay None for layouts without an oracle.
+    the state talks to an oracle, whatever state its cells are in; they
+    stay None for layouts without an oracle.  Only a layout with an oracle
+    may be empty.
     """
 
     def __init__(
@@ -67,8 +75,8 @@ class RegisterLayout:
         amplitude_cap: int = DEFAULT_AMPLITUDE_CAP,
     ):
         registers = tuple(registers)
-        if not registers:
-            raise LayoutError("zero-register layouts are not allowed")
+        if not registers and group is None:
+            raise LayoutError("zero-register layouts are allowed only with an oracle")
         names = [r.name for r in registers]
         if len(set(names)) != len(names):
             raise LayoutError(f"duplicate register names in {names}")
@@ -327,6 +335,12 @@ class QuantumState:
         return QuantumState(self.layout, self.amps, {**self.fixed, name: int(value)})
 
     def rename_register(self, old: str, new: str) -> "QuantumState":
+        """The same state with register ``old``, live or frozen, called ``new``.
+
+        A ``new`` that is already live or frozen is a LayoutError.
+        """
+        if new in self.layout or new in self.fixed:
+            raise LayoutError(f"cannot rename {old!r} onto present register {new!r}")
         if old in self.fixed:
             fixed = dict(self.fixed)
             fixed[new] = fixed.pop(old)

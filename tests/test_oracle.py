@@ -3,7 +3,10 @@
 The reference construction never touches the oracle module's kernels: it
 builds the joint superposition over all tables directly in the
 computational basis with plain numpy, applies queries as permutations,
-and converts bases by explicit matrix multiplication.
+and converts bases by explicit matrix multiplication.  A purified state
+stores only the cells a query has reached; states are compared once both
+hold every cell (``full``), and random dense states are built on the
+explicit all-cells layout (``dense_purified``).
 """
 
 import itertools
@@ -19,6 +22,7 @@ from qromlab.errors import DimensionMismatchError, ZeroProbabilityError
 from qromlab.oracle import (
     OracleSpec,
     PartialOracle,
+    add_cells,
     all_weights,
     computational_support,
     fourier_support_size,
@@ -27,11 +31,23 @@ from qromlab.oracle import (
     project_partial,
     weight,
 )
-from qromlab.qstate import QuantumState, Register
+from qromlab.qstate import QuantumState, Register, RegisterLayout
 
 
 def spec_z2(n=2):
     return OracleSpec(n, GroupSpec((2,)))
+
+
+def full(state):
+    """``state`` with every untouched cell made live at |0̂⟩."""
+    return add_cells(state, range(state.layout.domain_size))
+
+
+def dense_purified(spec, work_registers):
+    """The uniform oracle on the explicit all-cells layout: every cell an axis at |0̂⟩."""
+    layout = RegisterLayout(list(work_registers) + spec.registers(), spec.group,
+                            spec.domain_size)
+    return QuantumState.zero(layout)
 
 
 def to_computational(state):
@@ -59,7 +75,8 @@ def hand_state_after_classical_query(spec, x, y0=0):
 def test_initial_state_is_uniform_over_tables():
     spec = spec_z2(2)
     s = init_purified(spec, [Register("Yw", 2)])
-    comp = to_computational(s)
+    assert s.layout.names == ("Yw",)  # every cell untouched
+    comp = to_computational(full(s))
     # |0> on the work register, uniform over the 4 tables
     expect = np.zeros((2, 2, 2), dtype=np.complex128)
     expect[0] = 0.5
@@ -73,7 +90,7 @@ def test_classical_query_matches_hand_reference(factors, x):
     s = init_purified(spec, [Register("Yw", g.order)])
     s = oracle_query(s, "Yw", x_const=x)
     assert np.allclose(
-        to_computational(s).amps, hand_state_after_classical_query(spec, x), atol=1e-12
+        to_computational(full(s)).amps, hand_state_after_classical_query(spec, x), atol=1e-12
     )
 
 
@@ -114,7 +131,7 @@ def test_query_with_fourier_basis_y_shifts_single_cell():
     expect = np.zeros((2, 2, 2), dtype=np.complex128)
     expect[0, 0, 1] = g.fourier_matrix[0, 1]
     expect[1, 0, 1] = g.fourier_matrix[1, 1]
-    assert np.allclose(s.amps, expect, atol=1e-12)
+    assert np.allclose(full(s).amps, expect, atol=1e-12)
     assert weight(s, 1) == pytest.approx(1.0)
     assert fourier_support_size(s) == 1
 
@@ -141,7 +158,7 @@ def test_double_query_same_register_is_identity_for_involutive_groups():
         s = s.apply_unitary(circuits.random_unitary(rng, 2), ["X"])
         s = s.apply_unitary(circuits.random_unitary(rng, g.order), ["Yw"])
         twice = oracle_query(oracle_query(s, "Yw", x_reg="X"), "Yw", x_reg="X")
-        assert np.allclose(twice.amps, s.amps, atol=1e-10)
+        assert np.allclose(twice.amps, full(s).amps, atol=1e-10)
 
 
 def test_query_then_inverse_is_identity():
@@ -153,7 +170,7 @@ def test_query_then_inverse_is_identity():
     s = s.apply_unitary(circuits.random_unitary(rng, 3), ["Yw"])
     out = oracle_query(s, "Yw", x_reg="X")
     back = oracle_query(out, "Yw", x_reg="X", inverse=True)
-    assert np.allclose(back.amps, s.amps, atol=1e-10)
+    assert np.allclose(back.amps, full(s).amps, atol=1e-10)
 
 
 def test_query_against_reference_permutation_on_random_states():
@@ -163,7 +180,7 @@ def test_query_against_reference_permutation_on_random_states():
         g = GroupSpec(factors)
         q = g.order
         spec = OracleSpec(2, g)
-        base = init_purified(spec, [Register("X", 2), Register("Yw", q)])
+        base = dense_purified(spec, [Register("X", 2), Register("Yw", q)])
         v = rng.normal(size=base.layout.total_dim) + 1j * rng.normal(size=base.layout.total_dim)
         v /= np.linalg.norm(v)
         s = QuantumState.from_vector(base.layout, v)
@@ -278,6 +295,60 @@ def test_query_register_dimension_checks():
         oracle_query(s2, "Yw", x_const=0)  # wrong range dimension
 
 
+# -- untouched cells: stored only once a query addresses them --
+
+
+@pytest.mark.parametrize("factors", [(2,), (3,), (2, 2)])
+def test_a_constant_address_query_stores_exactly_one_cell(factors):
+    g = GroupSpec(factors)
+    s = init_purified(OracleSpec(4, g), [Register("Yw", g.order)])
+    assert s.layout.names == ("Yw",) and s.amps.size == g.order
+    s = oracle_query(s, "Yw", x_const=2)
+    assert s.layout.names == ("Yw", "H2") and s.amps.size == g.order**2 and s.fixed == {}
+
+
+def test_an_address_register_adds_its_cells_in_domain_order():
+    # H2 live, H0 frozen, H3 out of reach: the address adds only H1, before H2
+    rng = np.random.default_rng(5)
+    u_y, u_x = circuits.random_unitary(rng, 3), circuits.random_unitary(rng, 3)
+    spec = OracleSpec(4, GroupSpec((3,)))
+    work = [Register("X", 3), Register("Yw", 3)]
+    states = []
+    for start in (init_purified(spec, work), dense_purified(spec, work)):
+        s = oracle_query(start.apply_unitary(u_y, ["Yw"]), "Yw", x_const=2)
+        s, _ = project_partial(s, PartialOracle(((0, 1),)))
+        states.append(oracle_query(s.apply_unitary(u_x, ["X"]), "Yw", x_reg="X"))
+    lazy, dense = states
+    assert lazy.layout.names == ("X", "Yw", "H1", "H2") and lazy.fixed == {"H0": 1}
+    assert full(lazy).layout.names == dense.layout.names
+    assert np.allclose(full(lazy).amps, dense.amps, rtol=0, atol=1e-12)
+
+
+def test_untouched_cells_read_as_the_flat_state():
+    g = GroupSpec((3,))
+    spec = OracleSpec(3, g)
+    fresh = init_purified(spec, [Register("Yw", 3)])
+    every_table = set(itertools.product(range(3), repeat=3))
+    assert all_weights(fresh).tolist() == [0.0, 0.0, 0.0]
+    assert fourier_support_size(fresh) == 0
+    assert computational_support(fresh) == every_table
+
+    s = oracle_query(fresh, "Yw", x_const=1)  # H0 and H2 stay untouched
+    assert all_weights(s)[[0, 2]].tolist() == [0.0, 0.0]
+    assert np.allclose(all_weights(s), all_weights(full(s)), rtol=0, atol=1e-12)
+    assert fourier_support_size(s) == fourier_support_size(full(s)) == 1
+    assert computational_support(s) == computational_support(full(s)) == every_table
+
+    projected, prob = project_partial(s, PartialOracle(((2, 1),)))
+    assert prob == 1 / 3  # exactly, and without a pass over the amplitudes
+    assert projected.amps is s.amps and projected.fixed == {"H2": 1}
+    dense, dense_prob = project_partial(full(s), PartialOracle(((2, 1),)))
+    assert dense_prob == pytest.approx(1 / 3, abs=1e-12)
+    assert full(projected).layout.names == dense.layout.names
+    assert np.allclose(full(projected).amps, dense.amps, rtol=0, atol=1e-12)
+    assert computational_support(projected) == {t for t in every_table if t[2] == 1}
+
+
 # -- fused kernels against the per-cell formula and the three-step route --
 
 GROUPS = [(2,), (3,), (2, 2)]
@@ -290,7 +361,7 @@ def random_oracle_state(group_factors, domain_size, x_dim, seed, learned):
     """
     g = GroupSpec(group_factors)
     spec = OracleSpec(domain_size, g)
-    base = init_purified(spec, [Register("X", x_dim), Register("Yw", g.order)])
+    base = dense_purified(spec, [Register("X", x_dim), Register("Yw", g.order)])
     rng = np.random.default_rng(seed)
     v = rng.normal(size=base.layout.total_dim) + 1j * rng.normal(size=base.layout.total_dim)
     s = QuantumState.from_vector(base.layout, v / np.linalg.norm(v))

@@ -1,5 +1,6 @@
 """Goodstate predicates and the compatibility machinery."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,9 +11,15 @@ from qromlab import pcc, zoo
 from qromlab.algebra import cyclic
 from qromlab.circuits import light_random_ops, run_purified
 from qromlab.errors import DomainError
-from qromlab.oracle import OracleSpec, computational_support, init_purified, oracle_query
+from qromlab.oracle import (
+    OracleSpec,
+    add_cells,
+    computational_support,
+    init_purified,
+    oracle_query,
+)
 from qromlab.protocol import Protocol, ProtocolRegister, Query, Step
-from qromlab.qstate import Register
+from qromlab.qstate import QuantumState, Register, RegisterLayout
 
 Z2 = cyclic(2)
 Z3 = cyclic(3)
@@ -178,6 +185,27 @@ def test_attack_dump_checker_notices_clashing_sim_table():
     assert rep["compatible"]
     assert not rep["table_in_both_supports"]
     assert not rep["contradicts_conjecture"]
+
+
+@pytest.mark.parametrize("name", ["announced-query", "merkle", "ka-from-toy-qpke"])
+def test_attack_dump_checker_reads_a_dense_dump_like_the_lazy_one(name):
+    p = zoo.standard_zoo(4)[name]
+    dump = json.loads(json.dumps(attack_dump(p, (1, 0, 1, 1), delta=0.6)))
+    sim = QuantumState.load(dump["simulated_state"])
+    assert any(c not in sim.layout and c not in sim.fixed for c in ("H0", "H1", "H2", "H3"))
+    dense = dict(dump, simulated_state=add_cells(sim, range(4)).dump())
+    assert pcc.check_attack_dump(json.loads(json.dumps(dense))) == pcc.check_attack_dump(dump)
+
+
+def test_pin_cell_makes_an_untouched_cell_live():
+    spec = OracleSpec(3, Z3)
+    pinned = pcc.pin_cell(init_purified(spec, []), spec, 1, 2)
+    assert pinned.layout.names == ("H1",)
+    dense = QuantumState.zero(RegisterLayout(spec.registers(), Z3, 3))
+    reference = pcc.pin_cell(dense, spec, 1, 2)
+    assert np.allclose(add_cells(pinned, range(3)).amps, reference.amps, rtol=0, atol=1e-12)
+    assert computational_support(pinned) == {
+        t for t in itertools.product(range(3), repeat=3) if t[1] == 2}
 
 
 def leaky_protocol():

@@ -388,7 +388,8 @@ def test_program_inverse_is_inverse():
     purified = init_purified(spec, regs)
     forward = proto.apply_program(purified, program, p.reg_dims())
     back = proto.apply_program(forward, program, p.reg_dims(), inverse=True)
-    assert np.allclose(back.amps, purified.amps, atol=1e-12)
+    # the queries made cells 0 and 1 live; the start holds them untouched
+    assert np.allclose(back.amps, every_cell(purified).amps, atol=1e-12)
 
     concrete = init_table(spec, regs, (1, 1))
     forward = proto.apply_program(concrete, program, p.reg_dims())
@@ -686,6 +687,11 @@ def test_a_matrix_gate_reads_an_announced_register_as_a_control():
         assert np.allclose(got, want)
 
 
+def every_cell(state):
+    """``state`` with every untouched oracle cell made live at |0̂⟩."""
+    return oracle.add_cells(state, range(state.layout.domain_size))
+
+
 def whole_round_walk(p, table=None):
     """Reference for ``_walk``: every round runs whole, then its message is measured.
     Returns {transcript: (state, probability)} for every symbol of probability >= 1e-12."""
@@ -705,16 +711,19 @@ def whole_round_walk(p, table=None):
     return {t: (s, pr) for s, t, pr in paths}
 
 
-def assert_walks_agree(p, table=None):
+def assert_walks_agree(p, table=None, want=None):
     """enumerate_branches and run_conditioned match the whole-round reference on every
-    transcript: same layout, same frozen values, probability and amplitudes within 1e-12."""
-    want = whole_round_walk(p, table)
+    transcript (or ``want``, {transcript: (state, probability)}): once both hold every
+    oracle cell, same layout, same frozen values, probability and amplitudes within 1e-12.
+    A live address can make cells live that the frozen one leaves untouched."""
+    want = whole_round_walk(p, table) if want is None else want
     branches = proto.enumerate_branches(p, table)
     assert [b.transcript for b in branches] == sorted(want)
     for b in branches:
         for state, prob in ((b.state, b.probability),
                             proto.run_conditioned(p, b.transcript, table)):
             ref, ref_prob = want[b.transcript]
+            state, ref = every_cell(state), every_cell(ref)
             assert state.layout.names == ref.layout.names and state.fixed == ref.fixed
             assert abs(prob - ref_prob) <= 1e-12
             assert np.abs(state.amps - ref.amps).max() <= 1e-12
@@ -725,6 +734,18 @@ def assert_walks_agree(p, table=None):
 @pytest.mark.parametrize("name", sorted(zoo.standard_zoo(4)))
 def test_measuring_at_the_last_write_equals_measuring_after_the_round(name, group, table):
     assert_walks_agree(zoo.standard_zoo(4, GroupSpec(group))[name], table)
+
+
+@pytest.mark.parametrize("group", [(2,), (3,)], ids=["Z2", "Z3"])
+@pytest.mark.parametrize("name", sorted(zoo.standard_zoo(4)))
+def test_the_walk_matches_a_walk_from_the_all_cells_layout(name, group, monkeypatch):
+    p = zoo.standard_zoo(4, GroupSpec(group))[name]
+    initial = proto._initial_state
+    monkeypatch.setattr(proto, "_initial_state", lambda p, table: every_cell(initial(p, table)))
+    dense = {b.transcript: (b.state, b.probability) for b in proto.enumerate_branches(p)}
+    assert all(s.layout.names[-4:] == ("H0", "H1", "H2", "H3") for s, _ in dense.values())
+    monkeypatch.undo()
+    assert_walks_agree(p, want=dense)
 
 
 def with_first_round(*program):
@@ -756,14 +777,16 @@ def test_the_query_after_the_last_write_reads_the_message_frozen(monkeypatch):
     query = oracle.oracle_query
 
     def spy(state, y_reg, **kw):
-        seen.append((y_reg, dict(state.fixed), state.amps.size))
-        return query(state, y_reg, **kw)
+        out = query(state, y_reg, **kw)
+        seen.append((y_reg, dict(state.fixed), state.amps.size, out.amps.size))
+        return out
 
     monkeypatch.setattr(oracle, "oracle_query", spy)
     proto.run_conditioned(p, (3,))
-    full = math.prod(p.reg_dims().values()) * p.group.order ** p.domain_size
-    # Alice's round-A query runs on T1's branch alone, a quarter of the full state
-    assert seen[0] == ("YA", {"T1": 3}, full // 4)
+    work = math.prod(p.reg_dims().values())
+    # Alice's round-A query runs on T1's branch alone, a quarter of the work registers
+    # with every cell untouched, and stores the one cell T1 = 3 addresses
+    assert seen[0] == ("YA", {"T1": 3}, work // 4, work // 4 * p.group.order)
 
 
 def hadamard_decode_protocol():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qromlab.algebra import GroupSpec
 from qromlab.errors import (
     CapacityError,
     LayoutError,
@@ -215,6 +216,28 @@ def test_rename_register():
     s = QuantumState.zero(two_qubits())
     s2 = s.rename_register("b", "msg")
     assert s2.layout.names == ("a", "msg")
+
+
+def test_rename_register_onto_a_present_name_is_a_layout_error():
+    s = QuantumState.zero(two_qubits()).attach_fixed("m", 0).attach_fixed("m2", 1)
+    with pytest.raises(LayoutError):
+        s.rename_register("m", "m2")  # frozen onto frozen would drop m2's value
+    with pytest.raises(LayoutError):
+        s.rename_register("b", "m2")  # live onto frozen would leave m2 both
+    with pytest.raises(LayoutError):
+        s.rename_register("m", "a")  # frozen onto live
+    with pytest.raises(LayoutError):
+        s.rename_register("a", "b")  # live onto live
+    moved = s.rename_register("m", "m3")
+    assert moved.fixed == {"m2": 1, "m3": 0} and moved.layout.names == ("a", "b")
+
+
+def test_an_empty_layout_carries_an_oracle():
+    layout = RegisterLayout([], group=GroupSpec((3,)), domain_size=4)
+    s = QuantumState.zero(layout)
+    assert s.amps.shape == () and s.norm() == 1.0
+    back = QuantumState.load(json.loads(json.dumps(s.dump())))
+    assert back.layout.names == () and back.amps == s.amps
 
 
 @pytest.mark.parametrize("group", [[2.9], ["2"], [True], 2])
