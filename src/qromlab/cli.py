@@ -156,9 +156,14 @@ class ExperimentConfig:
         return problems
 
     def validate(self) -> list[str]:
+        return self._checked()[0]
+
+    def _checked(self) -> tuple[list[str], Protocol | None]:
+        """The config's problems and, in a mode that runs one, its protocol, built once."""
         problems = self._type_problems()
         if problems:
-            return problems
+            return problems, None
+        p = None
         if self.mode not in MODES:
             problems.append(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if self.trials < 1:
@@ -202,7 +207,7 @@ class ExperimentConfig:
             if self.group_spec().order ** self.n > 4096:
                 problems.append("oracle-equivalence enumerates all tables; "
                                 f"|Y|^N = {self.group_spec().order ** self.n} is too large")
-        return problems
+        return problems, p
 
     def group_spec(self) -> GroupSpec:
         return GroupSpec(tuple(self.group))
@@ -340,7 +345,7 @@ def _equivalence_trial(cfg: ExperimentConfig, trial: int) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one configured experiment, writing CSV rows and summary.json."""
-    problems = cfg.validate()
+    problems, p = cfg._checked()
     if problems:
         raise ConfigError(problems)
     out_dir = Path(cfg.out_dir)
@@ -349,7 +354,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     summary: dict = {"mode": cfg.mode, "config": cfg.to_json()}
 
     if cfg.mode in ("attack", "learner-only"):
-        p = cfg.resolve_protocol()
         summary["config"]["protocol_json"] = p.to_json()
         sweep_fn = _attack_sweep if cfg.mode == "attack" else _learner_sweep
         sweeps = [sweep_fn(cfg, p, eps, i, out_dir) for i, eps in enumerate(cfg.eps)]
@@ -519,7 +523,7 @@ def replay(trial: int, run_dir, sweep: int = 0) -> dict:
         raise ConfigError([f"{run_dir}/summary.json lacks a known mode or the config"])
     mode = summary["mode"]
     cfg = ExperimentConfig.from_json(summary["config"])
-    problems = cfg.validate()
+    problems, p = cfg._checked()
     if problems:
         raise ConfigError(problems)
     if mode == "pcc-search":
@@ -532,7 +536,6 @@ def replay(trial: int, run_dir, sweep: int = 0) -> dict:
     else:
         eps, csv_name = _sweep_block(summary, sweep, run_dir)
         row = _read_csv_row(run_dir / csv_name, trial)
-        p = cfg.resolve_protocol()
         if mode == "learner-only":
             columns, fresh = LEARNER_COLUMNS, _learner_trial(p, cfg, eps, trial)
         else:

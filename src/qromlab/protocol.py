@@ -17,9 +17,9 @@ counted off the programs.
 Every program, a protocol round and a random circuit alike, is a sequence of the
 two instructions ``Gate`` and ``Query`` with one JSON encoding, and
 ``apply_program`` is the one interpreter for it, with one query kernel
-(``oracle.oracle_query``).  Each gate is built and checked once per tuple of
-target dims (``Gate.resolved``), the one form the interpreter, ``validate`` and
-its write test read.  A run starts from one of two initial oracle states: the
+(``oracle.oracle_query``).  Each gate is built and checked once per target dims and
+frozen target values (``Gate.resolved``), where the interpreter, ``validate`` and its
+write test read it.  A run starts from one of two initial oracle states: the
 purified oracle register (one joint pure state including the H cells) or a fixed
 table, which is that register with every cell frozen at its table value.
 Agreement of the two is what the oracle-model tests pin down.
@@ -131,11 +131,17 @@ class Gate:
             if getattr(self, key) is not None and self.name not in users:
                 raise ProtocolShapeError(f"a {self.name!r} gate takes no {key}")
 
-    def resolved(self, tdims: tuple[int, ...]) -> ResolvedGate:
-        """The checked form for target dims ``tdims``, kept on first use (a race builds two)."""
-        if tdims not in self._forms:
-            self._forms[tdims] = _resolve_gate(self, tdims)
-        return self._forms[tdims]
+    def resolved(self, tdims: tuple[int, ...], at: tuple | None = None) -> ResolvedGate:
+        """The checked form for target dims ``tdims`` and frozen target values ``at`` (None
+        for a live target, all live by default), kept from its first build (a race builds
+        two); a build that raises keeps nothing."""
+        at = at or (None,) * len(tdims)
+        form = self._forms.get((tdims, at))
+        if form is None:
+            form = (_resolve_gate(self, tdims) if all(v is None for v in at)
+                    else _restrict(self.resolved(tdims), at))
+            self._forms[(tdims, at)] = form
+        return form
 
     def to_json(self) -> dict:
         data: dict = {"op": "unitary", "name": self.name, "targets": list(self.targets)}
@@ -520,7 +526,12 @@ def validate(p: Protocol) -> ValidationReport:
                 f"key register {key_reg!r} must be a dim-2 or dim-3 register of role {role}"
             )
 
-    total = math.prod(dims.values()) * p.group.order**p.domain_size
+    # a purified run stores only the cells some query can address
+    cells = set()
+    for program in [s.program for s in p.rounds] + [p.final_a_program]:
+        for q in (i for i in program if isinstance(i, Query)):
+            cells.update([q.x_const] if q.x_reg is None else range(dims.get(q.x_reg, 0)))
+    total = math.prod(dims.values()) * p.group.order**len(cells)
     if total > p.amplitude_cap:
         rep.violations.append(
             f"purified layout needs {total} amplitudes, cap is {p.amplitude_cap}"
@@ -622,42 +633,27 @@ def _builtin_op(gate: Gate, tdims: tuple[int, ...]):
     raise ProtocolShapeError(f"unknown builtin unitary {gate.name!r}")
 
 
-def _apply_perm_with_fixed(state: QuantumState, perm: np.ndarray, targets, dims):
-    """Apply a basis permutation, reading frozen registers as constants.
-
-    The permutation is restricted to the live grid, the frozen digits held
-    at their values.  A frozen register may steer it but never move: images
-    must keep its value, otherwise the instruction is rejected.
-    """
-    live = [i for i, t in enumerate(targets) if t not in state.fixed]
-    if len(live) == len(targets):
-        return state.permute_basis(perm, targets)
-    at = tuple(state.fixed.get(t, slice(None)) for t in targets)
-    grid = np.indices(dims)[(slice(None),) + at].reshape(len(dims), -1)
-    image = np.unravel_index(perm[np.ravel_multi_index(grid, dims)], dims)
-    if any(np.any(image[i] != at[i]) for i in range(len(targets)) if i not in live):
-        raise UnsupportedProtocolError("permutation moves a frozen register")
-    if not live:
-        return state
-    restricted = np.ravel_multi_index([image[i] for i in live], [dims[i] for i in live])
-    return state.permute_basis(restricted, [targets[i] for i in live])
-
-
-def _apply_matrix_with_fixed(state: QuantumState, u: np.ndarray, targets, dims):
-    """Apply a unitary, reading frozen registers as constants.
-
-    The matrix is restricted to the block at the frozen digits.  A frozen
-    register may steer it but never move: if any amplitude would leave the
-    block, the instruction is rejected.
-    """
-    live = [t for t in targets if t not in state.fixed]
-    if len(live) < len(targets):
-        at = tuple(state.fixed.get(t, slice(None)) for t in targets)
-        block = math.prod(d for t, d in zip(targets, dims) if t in live)
-        u = u.reshape(dims + dims)[at + at].reshape(block, block)
-        if np.abs(np.linalg.norm(u, axis=0) - 1).max() > UNITARY_TOL:
+def _restrict(form: ResolvedGate, at: tuple) -> ResolvedGate:
+    """``form`` on the block of basis states where each target with a value in ``at``
+    holds it.  A frozen register may steer the op but never move: an op or inverse
+    that takes the block outside itself is rejected."""
+    index = tuple(slice(None) if v is None else v for v in at)
+    block = np.arange(math.prod(form.tdims)).reshape(form.tdims)[index].ravel()
+    if form.kind == "matrix":
+        op, inverse = (m[np.ix_(block, block)] for m in (form.op, form.inverse))
+        if np.abs(np.linalg.norm([op, inverse], axis=1) - 1).max() > UNITARY_TOL:
             raise UnsupportedProtocolError("matrix moves a frozen register")
-    return state.apply_unitary(u, live)
+    else:
+        position = np.full(len(form.op), -1)
+        position[block] = np.arange(len(block))
+        op, inverse = position[form.op[block]], position[form.inverse[block]]
+        if np.any(op < 0):
+            raise UnsupportedProtocolError("permutation moves a frozen register")
+    op.setflags(write=False)
+    inverse.setflags(write=False)
+    live = [i for i, v in enumerate(at) if v is None]
+    return ResolvedGate(form.kind, op, inverse, tuple(form.targets[i] for i in live),
+                        tuple(form.tdims[i] for i in live))
 
 
 def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
@@ -665,13 +661,15 @@ def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
     """Run one instruction on a state; a query asks the state's own oracle.
 
     ``dims`` maps every register the instruction names, frozen ones
-    included, to its dimension.
+    included, to its dimension; a gate runs its form for the state's frozen targets.
     """
     if isinstance(instr, Gate):
-        tdims = tuple(dims[t] for t in instr.targets)
-        form = instr.resolved(tdims)
-        apply = _apply_matrix_with_fixed if form.kind == "matrix" else _apply_perm_with_fixed
-        return apply(state, form.inverse if inverse else form.op, instr.targets, tdims)
+        form = instr.resolved(tuple(dims[t] for t in instr.targets),
+                              tuple(state.fixed.get(t) for t in instr.targets))
+        op = form.inverse if inverse else form.op
+        if form.kind == "matrix":
+            return state.apply_unitary(op, form.targets)
+        return state.permute_basis(op, form.targets) if form.targets else state
 
     if not isinstance(instr, Query):
         raise ProtocolShapeError(f"unknown instruction {instr!r}")

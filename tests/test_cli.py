@@ -187,6 +187,20 @@ def test_replay_matches_recorded_rows(tmp_path):
     assert report["recomputed"]["k_E"] == int(report["recorded"]["k_E"])
 
 
+def test_a_run_and_a_replay_build_the_protocol_once(tmp_path, monkeypatch):
+    built = []
+    for owner, name in ((cli.zoo, "standard_zoo"), (cli.Protocol, "from_json")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
+                            built.append(name) or real(*a, **k))
+    cfg = make_config(tmp_path, trials=2)
+    cli.run_experiment(cfg)
+    assert built == ["standard_zoo"]
+    cli.replay(1, cfg.out_dir)
+    # the summary's config carries the protocol's JSON, so replay reads that
+    assert built == ["standard_zoo", "from_json"]
+
+
 def test_replay_notices_a_tampered_row(tmp_path):
     cfg = make_config(tmp_path, trials=4)
     cli.run_experiment(cfg)

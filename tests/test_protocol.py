@@ -149,6 +149,14 @@ def test_validate_notices_final_query_without_flag():
     assert any("active attack" in n for n in rep.notices)
 
 
+def test_the_amplitude_cap_counts_only_the_cells_a_query_can_address():
+    # merkle's queries address cells 0 and 1 only: 384 x 2^2 amplitudes, not 384 x 2^16
+    assert proto.validate(zoo.merkle_ka_protocol(16)).ok
+    # announced-query's dim-24 address register reaches all 24 cells: 1152 x 2^24
+    violations = proto.validate(zoo.announced_query_protocol(24)).violations
+    assert any("amplitudes, cap is" in v for v in violations)
+
+
 def test_json_roundtrip_preserves_behavior():
     p = tiny_protocol()
     blob = json.dumps(p.to_json())
@@ -540,8 +548,8 @@ def test_every_sent_symbol_is_a_frozen_register(name, group):
 
 
 def looped_perm_with_fixed(state, perm, targets, dims):
-    """Reference for ``_apply_perm_with_fixed``: restrict the permutation one
-    live index at a time, with a separate all-frozen branch."""
+    """Reference for a permutation gate on frozen targets: restrict the permutation
+    one live index at a time, with a separate all-frozen branch."""
     fixed_pos = {i: state.fixed[t] for i, t in enumerate(targets) if t in state.fixed}
     if not fixed_pos:
         return state.permute_basis(perm, targets)
@@ -594,16 +602,19 @@ def frozen_permutations(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(frozen_permutations())
-def test_vectorized_restriction_equals_the_looped_one(case):
+@given(case=frozen_permutations(), inverse=st.booleans())
+def test_vectorized_restriction_equals_the_looped_one(case, inverse):
     state, perm, targets, dims = case
+    gate = proto.permutation_gate(perm, targets)
+    reg_dims = dict(zip(targets, dims))
     try:
-        expect = looped_perm_with_fixed(state, perm, targets, dims)
+        expect = looped_perm_with_fixed(state, np.argsort(perm) if inverse else perm,
+                                        targets, dims)
     except UnsupportedProtocolError:
         with pytest.raises(UnsupportedProtocolError):
-            proto._apply_perm_with_fixed(state, perm, targets, dims)
+            proto.apply_instruction(state, gate, reg_dims, inverse=inverse)
         return
-    got = proto._apply_perm_with_fixed(state, perm, targets, dims)
+    got = proto.apply_instruction(state, gate, reg_dims, inverse=inverse)
     assert got.layout.names == expect.layout.names and got.fixed == expect.fixed
     assert np.array_equal(got.amps, expect.amps)
 
@@ -637,25 +648,26 @@ def frozen_unitaries(draw):
     return state, u, targets, dims, frozen
 
 
-@settings(max_examples=100, deadline=None)
-@given(frozen_unitaries())
-def test_a_matrix_on_frozen_registers_equals_the_matrix_on_one_hot_axes(case):
+@settings(max_examples=150, deadline=None)
+@given(case=frozen_unitaries(), inverse=st.booleans())
+def test_a_matrix_on_frozen_registers_equals_the_matrix_on_one_hot_axes(case, inverse):
     state, u, targets, dims, frozen = case
     # reference: each frozen register as a live axis at its value, the full matrix applied
     wide = state
     for t, d in zip(targets, dims):
         if t in frozen:
             wide = wide.attach_register(Register(t, d), np.eye(d)[frozen[t]])
-    wide = wide.apply_unitary(u, targets)
+    wide = wide.apply_unitary(u.conj().T if inverse else u, targets)
     leaked = any(wide.probabilities(t)[frozen[t]] < 1 - 1e-9 for t in frozen)
     frozen_state = dataclasses.replace(state, fixed=dict(frozen))
+    gate, reg_dims = proto.matrix_gate(u, targets), dict(zip(targets, dims))
     if leaked:
         with pytest.raises(UnsupportedProtocolError):
-            proto._apply_matrix_with_fixed(frozen_state, u, targets, dims)
+            proto.apply_instruction(frozen_state, gate, reg_dims, inverse=inverse)
         return
     for t in frozen:
         wide, _ = wide.collapse_register(t, frozen[t])
-    got = proto._apply_matrix_with_fixed(frozen_state, u, targets, dims)
+    got = proto.apply_instruction(frozen_state, gate, reg_dims, inverse=inverse)
     assert got.fixed == wide.fixed
     assert np.allclose(got.split(state.layout.names), wide.split(state.layout.names))
 
@@ -935,5 +947,42 @@ def test_threads_sharing_a_protocol_get_the_sequential_results():
     finally:
         sys.setswitchinterval(old)
     assert all(r == expect for r in results)
-    gates = [i for s in p.rounds for i in s.program if isinstance(i, proto.Gate)]
-    assert gates and all(len(g._forms) == 1 for g in gates)
+    sequential = zoo.merkle_ka_protocol(4)
+    proto.joint_distribution(sequential, table=table)
+    keys = [[set(g._forms) for g in protocol_gates(q)] for q in (p, sequential)]
+    assert keys[0] and keys[0] == keys[1]
+    assert all(sum(all(v is None for v in at) for _, at in k) == 1 for k in keys[0])
+
+
+def protocol_gates(p):
+    programs = [s.program for s in p.rounds] + [p.final_a_program]
+    return [i for program in programs for i in program if isinstance(i, proto.Gate)]
+
+
+def test_a_gate_restricts_itself_once_per_frozen_value(monkeypatch):
+    contexts = []
+    real = proto._restrict
+    monkeypatch.setattr(proto, "_restrict",
+                        lambda form, at: contexts.append((id(form), at)) or real(form, at))
+    p = zoo.merkle_ka_protocol(4)
+    for table in p.oracle_spec().all_tables():
+        proto.enumerate_branches(p, table=table)
+        proto.enumerate_branches(p)
+    assert contexts and len(contexts) == len(set(contexts))
+    restricted = [at for g in protocol_gates(p) for _, at in g._forms
+                  if any(v is not None for v in at)]
+    assert sorted(at for _, at in contexts) == sorted(restricted)
+
+
+def test_a_rejected_restriction_raises_again_on_a_second_call(monkeypatch):
+    calls = []
+    real = proto._restrict
+    monkeypatch.setattr(proto, "_restrict", lambda form, at: calls.append(at) or real(form, at))
+    gate = proto.permutation_gate([2, 1, 0, 3], ("T", "W"))  # swaps T's 0 and 1 when W = 0
+    layout = RegisterLayout([Register("W", 2)])
+    state = QuantumState.from_vector(layout, [1, 0], {"T": 0})
+    for _ in range(2):
+        with pytest.raises(UnsupportedProtocolError, match="permutation moves a frozen register"):
+            proto.apply_instruction(state, gate, {"T": 2, "W": 2})
+    assert calls == [(0, None)] * 2
+    assert list(gate._forms) == [((2, 2), (None, None))]
