@@ -26,13 +26,7 @@ from .errors import DomainError, UnsupportedProtocolError
 from .learner import LearnerOutcome, learn
 from .oracle import all_weights, check_table, fourier_support_size
 from .protocol import KEY_ABORT, Protocol, alice_final, apply_program, deliver, run_concrete
-from .qstate import (
-    KIND_MESSAGE,
-    DensityOperator,
-    QuantumState,
-    Register,
-    RegisterLayout,
-)
+from .qstate import KIND_MESSAGE, DensityOperator, QuantumState, Register
 from .zoo import QpkeScheme, ka_from_qpke
 
 _DEAD_COMPONENT_TOL = 1e-12
@@ -252,7 +246,7 @@ def _trace_then_uncompute(p: Protocol, post: QuantumState) -> DensityOperator:
     keep = [n for n in p.alice_side() if n in post.layout]
     keep.append(m)
     rho = post.partial_trace(keep)
-    layout = RegisterLayout(rho.registers, amplitude_cap=post.layout.amplitude_cap)
+    layout = post.layout.with_registers(rho.registers)
     acc = np.zeros((p.register(m).dim,) * 2, dtype=np.complex128)
     for prob, vec in rho.eig_ensemble():
         pure = QuantumState.from_vector(layout, vec, post.fixed)

@@ -30,7 +30,7 @@ from .circuits import (
     total_variation,
     work_distribution,
 )
-from .errors import QromlabError, ReplayMismatchError, is_int, typed
+from .errors import CapacityError, QromlabError, ReplayMismatchError, is_int, typed
 from .learner import learn
 from .oracle import OracleSpec
 from .protocol import Protocol, query_count, run_concrete, validate
@@ -172,7 +172,8 @@ class ExperimentConfig:
             problems.append(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not self.out_dir:
             problems.append("out_dir must not be empty")
-        if not self.group or any(q < 2 for q in self.group):
+        group_ok = bool(self.group) and all(q >= 2 for q in self.group)
+        if not group_ok:
             problems.append(f"group factors must all be >= 2, got {list(self.group)}")
         if self.n < 1:
             problems.append(f"domain size must be >= 1, got {self.n}")
@@ -188,7 +189,7 @@ class ExperimentConfig:
                 problems.append(f"cap must be >= 1, got {self.cap}")
             if self.protocol is None and self.protocol_json is None:
                 problems.append(f"mode {self.mode} needs a protocol")
-            else:
+            elif group_ok:
                 try:
                     p = self.resolve_protocol()
                 except QromlabError as exc:
@@ -204,7 +205,7 @@ class ExperimentConfig:
         if self.mode == "oracle-equivalence":
             if self.queries < 0:
                 problems.append(f"queries must be nonnegative, got {self.queries}")
-            if self.group_spec().order ** self.n > 4096:
+            if group_ok and self.group_spec().order ** self.n > 4096:
                 problems.append("oracle-equivalence enumerates all tables; "
                                 f"|Y|^N = {self.group_spec().order ** self.n} is too large")
         return problems, p
@@ -400,7 +401,10 @@ def _write_csv(path: Path, columns, rows) -> None:
 def describe(name: str, n: int = 4, group=(2,)) -> str:
     """Human-readable account of a protocol's shape and model standing."""
     cfg = ExperimentConfig(mode="attack", protocol=name, n=n, group=tuple(group))
-    p = cfg.resolve_protocol()
+    try:
+        p = cfg.resolve_protocol()
+    except QromlabError as exc:
+        raise ConfigError([f"protocol does not resolve: {exc}"]) from None
     lines = [f"{p.name}: domain size {p.domain_size}, "
              f"oracle range order {p.group.order} (factors {list(p.group.factors)})"]
     lines.append("registers:")
@@ -479,16 +483,16 @@ def _replay_pcc_hit(run_dir: Path) -> dict:
         psi = QuantumState.load(dump["state_b"])
         delta, d = typed(dump["delta"], (int, float), "delta"), typed(dump["d"], int, "d")
         recorded = dump["report_a"], dump["report_b"]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        compatible = pcc.compatible(phi, psi)
+        reports = tuple(pcc.is_goodstate(s, delta, d).to_json() for s in (phi, psi))
+    except (KeyError, IndexError, TypeError, ValueError, CapacityError) as exc:
         raise ConfigError([f"{dump_path} is damaged ({type(exc).__name__}: {exc})"]) from None
-    if pcc.compatible(phi, psi):
+    if compatible:
         raise ReplayMismatchError("dumped pair is no longer incompatible")
-    report_a = pcc.is_goodstate(phi, delta, d)
-    report_b = pcc.is_goodstate(psi, delta, d)
-    if (report_a.to_json(), report_b.to_json()) != recorded:
+    if reports != recorded:
         raise ReplayMismatchError("goodstate reports changed under replay")
     return {"mode": "pcc-search", "incompatible": True,
-            "report_a": report_a.to_json(), "report_b": report_b.to_json()}
+            "report_a": reports[0], "report_b": reports[1]}
 
 
 def _sweep_block(summary: dict, sweep: int, run_dir: Path) -> tuple[float, str]:

@@ -7,6 +7,11 @@ initial state is the all-zeros basis vector and a query only touches the
 cell it addresses.  Converting a cell to the computational basis means
 applying the group's Fourier matrix to that axis.
 
+The oracle itself, an ``OracleSpec`` (defined beside the layout in
+qstate.py), is described in one place: the state's
+``RegisterLayout.oracle``.  ``spec_of`` reads it, and every layout a
+kernel derives keeps it.
+
 A cell is in one of three states:
 
 - untouched: no query has addressed it, so it is exactly |0̂⟩ and is not
@@ -36,7 +41,6 @@ alike: a fixed table is the oracle with every cell learned (see
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,46 +58,14 @@ from .errors import (
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
     KIND_ORACLE,
+    OracleSpec,
     QuantumState,
-    Register,
     RegisterLayout,
     apply_matrix,
 )
 
 SUPPORT_TOL = 1e-12
 MAX_SUPPORT_FUNCTIONS = 2**16
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    """Domain size N and range group Y of the random oracle."""
-
-    domain_size: int
-    group: GroupSpec
-
-    def __post_init__(self) -> None:
-        if int(self.domain_size) < 1:
-            raise DomainError("oracle domain must have at least one point")
-        object.__setattr__(self, "domain_size", int(self.domain_size))
-
-    def cell_name(self, x: int) -> str:
-        x = int(x)
-        if not 0 <= x < self.domain_size:
-            raise DomainError(f"domain point {x} out of range")
-        return f"H{x}"
-
-    def cell_names(self) -> list[str]:
-        return [f"H{x}" for x in range(self.domain_size)]
-
-    def registers(self) -> list[Register]:
-        return [Register(n, self.group.order, KIND_ORACLE) for n in self.cell_names()]
-
-    def function_count(self) -> int:
-        return self.group.order**self.domain_size
-
-    def all_tables(self):
-        """Iterate every function table h as a tuple of range indices."""
-        return itertools.product(range(self.group.order), repeat=self.domain_size)
 
 
 @dataclass(frozen=True)
@@ -130,10 +102,11 @@ class PartialOracle:
 
 
 def spec_of(state: QuantumState) -> OracleSpec:
-    layout = state.layout
-    if layout.group is None or layout.domain_size is None:
+    """The oracle ``state`` talks to; a layout without one is a LayoutError."""
+    spec = state.layout.oracle
+    if spec is None:
         raise LayoutError("state layout carries no oracle metadata")
-    return OracleSpec(layout.domain_size, layout.group)
+    return spec
 
 
 def init_purified(
@@ -147,8 +120,7 @@ def init_purified(
     vector, so every cell starts untouched and only the work registers
     are stored; each cell joins the layout when a query first addresses it.
     """
-    layout = RegisterLayout(work_registers, group=spec.group, domain_size=spec.domain_size,
-                            amplitude_cap=amplitude_cap)
+    layout = RegisterLayout(work_registers, spec, amplitude_cap)
     return QuantumState.zero(layout)
 
 
@@ -165,8 +137,7 @@ def add_cells(state: QuantumState, xs) -> QuantumState:
     if not new:
         return state
     cells = [r for r in spec.registers() if r.name in old or r.name in new]
-    layout = RegisterLayout([r for r in old.registers if r.kind != KIND_ORACLE] + cells,
-                            old.group, old.domain_size, old.amplitude_cap)
+    layout = old.with_registers([r for r in old.registers if r.kind != KIND_ORACLE] + cells)
     amps = np.zeros(layout.dims, dtype=np.complex128)
     amps[tuple(slice(None) if n in old else 0 for n in layout.names)] = state.amps
     return QuantumState(layout, amps, dict(state.fixed))
@@ -188,7 +159,7 @@ def check_table(spec: OracleSpec, table) -> tuple[int, ...]:
 def init_table(spec: OracleSpec, work_registers, table,
                amplitude_cap: int = DEFAULT_AMPLITUDE_CAP) -> QuantumState:
     """The oracle with every cell learned: work registers at |0>, cell H{x} frozen at table[x]."""
-    layout = RegisterLayout(work_registers, spec.group, spec.domain_size, amplitude_cap)
+    layout = RegisterLayout(work_registers, spec, amplitude_cap)
     return QuantumState(layout, QuantumState.zero(layout).amps,
                         dict(zip(spec.cell_names(), check_table(spec, table))))
 

@@ -46,16 +46,15 @@ from . import oracle as qoracle
 from .algebra import GroupSpec, cyclic
 from .errors import (DomainError, ProtocolShapeError, QromlabError, UnsupportedProtocolError,
                      is_int, typed)
-from .oracle import OracleSpec
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
     KIND_MESSAGE,
     KIND_WORK,
     UNITARY_TOL,
     DensityOperator,
+    OracleSpec,
     QuantumState,
     Register,
-    RegisterLayout,
     as_permutation,
     as_unitary,
     canonical_phase,
@@ -842,9 +841,7 @@ def extract_alice_state(state: QuantumState, p: Protocol) -> QuantumState:
     """
     side = [n for n in p.alice_side() if not state.is_fixed(n)]
     vector = _leading_vector(state.split(side), "Alice's conditioned state is not pure")
-    old = state.layout
-    layout = RegisterLayout([old.register(n) for n in side], old.group, old.domain_size,
-                            old.amplitude_cap)
+    layout = state.layout.with_registers(state.layout.register(n) for n in side)
     fixed = {n: v for n, v in state.fixed.items() if n != p.key_reg_b}
     return QuantumState.from_vector(layout, vector, fixed)
 

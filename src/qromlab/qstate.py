@@ -6,6 +6,11 @@ in the layout, so truncating a learned cell is a contiguous slice.
 Registers that have been truncated away live on in ``fixed`` with the
 basis value they were frozen at.
 
+A state's oracle is described in one place, ``RegisterLayout.oracle``:
+an ``OracleSpec`` (domain size and range group), or None for a state
+that talks to no oracle.  Every layout derived from another by
+``with_registers`` shares its oracle and its amplitude cap.
+
 An oracle cell is in one of three states: untouched (in neither the
 layout nor ``fixed``, and implicitly the flat Fourier state |0̂⟩), live
 (an axis of the array) or frozen (in ``fixed``).  ``oracle.add_cells``
@@ -16,6 +21,7 @@ single amplitude.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +31,7 @@ from .algebra import GroupSpec
 from .errors import (
     CapacityError,
     DimensionMismatchError,
+    DomainError,
     LayoutError,
     NonUnitaryError,
     ZeroProbabilityError,
@@ -58,28 +65,60 @@ class Register:
         object.__setattr__(self, "dim", int(self.dim))
 
 
-class RegisterLayout:
-    """Ordered collection of named registers plus optional oracle metadata.
+@dataclass(frozen=True)
+class OracleSpec:
+    """Domain size N and range group Y of the random oracle."""
 
-    ``group`` and ``domain_size`` describe the oracle range and domain when
-    the state talks to an oracle, whatever state its cells are in; they
-    stay None for layouts without an oracle.  Only a layout with an oracle
-    may be empty.
+    domain_size: int
+    group: GroupSpec
+
+    def __post_init__(self) -> None:
+        if int(self.domain_size) < 1:
+            raise DomainError("oracle domain must have at least one point")
+        object.__setattr__(self, "domain_size", int(self.domain_size))
+
+    def cell_name(self, x: int) -> str:
+        x = int(x)
+        if not 0 <= x < self.domain_size:
+            raise DomainError(f"domain point {x} out of range")
+        return f"H{x}"
+
+    def cell_names(self) -> list[str]:
+        return [f"H{x}" for x in range(self.domain_size)]
+
+    def registers(self) -> list[Register]:
+        return [Register(n, self.group.order, KIND_ORACLE) for n in self.cell_names()]
+
+    def function_count(self) -> int:
+        return self.group.order**self.domain_size
+
+    def all_tables(self):
+        """Iterate every function table h as a tuple of range indices."""
+        return itertools.product(range(self.group.order), repeat=self.domain_size)
+
+
+class RegisterLayout:
+    """Ordered collection of named registers and the oracle they talk to.
+
+    ``oracle`` describes the oracle's domain and range whatever state its
+    cells are in; it is None for a layout without an oracle, and only a
+    layout with an oracle may be empty.  Every field, ``dims`` and
+    ``names`` too, is fixed at construction; ``with_registers`` derives a
+    layout on the same oracle and cap.
     """
 
     def __init__(
         self,
         registers,
-        group: GroupSpec | None = None,
-        domain_size: int | None = None,
+        oracle: OracleSpec | None = None,
         amplitude_cap: int = DEFAULT_AMPLITUDE_CAP,
     ):
         registers = tuple(registers)
-        if not registers and group is None:
+        if not registers and oracle is None:
             raise LayoutError("zero-register layouts are allowed only with an oracle")
-        names = [r.name for r in registers]
+        names = tuple(r.name for r in registers)
         if len(set(names)) != len(names):
-            raise LayoutError(f"duplicate register names in {names}")
+            raise LayoutError(f"duplicate register names in {list(names)}")
         seen_oracle = False
         for r in registers:
             if r.kind == KIND_ORACLE:
@@ -87,24 +126,21 @@ class RegisterLayout:
             elif seen_oracle:
                 raise LayoutError("oracle cells must come after all other registers")
         self.registers = registers
-        self.group = group
-        self.domain_size = domain_size
+        self.oracle = oracle
         self.amplitude_cap = int(amplitude_cap)
-        self._index = {r.name: i for i, r in enumerate(registers)}
-        total = math.prod(r.dim for r in registers)
+        self.names = names
+        self.dims = tuple(r.dim for r in registers)
+        self._index = {n: i for i, n in enumerate(names)}
+        total = math.prod(self.dims)
         if total > self.amplitude_cap:
             raise CapacityError(
                 f"layout needs {total} amplitudes, cap is {self.amplitude_cap}"
             )
         self.total_dim = total
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(r.dim for r in self.registers)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.registers)
+    def with_registers(self, registers) -> "RegisterLayout":
+        """A layout over ``registers`` on this layout's oracle and amplitude cap."""
+        return RegisterLayout(registers, self.oracle, self.amplitude_cap)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -122,8 +158,7 @@ class RegisterLayout:
         return self.register(name).dim
 
     def drop(self, name: str) -> "RegisterLayout":
-        kept = [r for r in self.registers if r.name != name]
-        return RegisterLayout(kept, self.group, self.domain_size, self.amplitude_cap)
+        return self.with_registers(r for r in self.registers if r.name != name)
 
     def insert_before_oracle(self, reg: Register) -> "RegisterLayout":
         """New layout with ``reg`` appended after the last non-oracle register."""
@@ -134,17 +169,16 @@ class RegisterLayout:
                 break
         regs = list(self.registers)
         regs.insert(pos, reg)
-        return RegisterLayout(regs, self.group, self.domain_size, self.amplitude_cap)
+        return self.with_registers(regs)
 
     def to_json(self):
         meta = {
             "registers": [[r.name, r.dim, r.kind] for r in self.registers],
             "amplitude_cap": self.amplitude_cap,
         }
-        if self.group is not None:
-            meta["group"] = self.group.to_json()
-        if self.domain_size is not None:
-            meta["domain_size"] = self.domain_size
+        if self.oracle is not None:
+            meta["group"] = self.oracle.group.to_json()
+            meta["domain_size"] = self.oracle.domain_size
         return meta
 
     @classmethod
@@ -153,13 +187,12 @@ class RegisterLayout:
                          typed(k, str, "register kind"))
                 for n, d, k in typed(data["registers"], list, "layout registers")]
         group, domain = data.get("group"), data.get("domain_size")
-        return cls(
-            regs,
-            group=None if group is None else GroupSpec.from_json(group, LayoutError),
-            domain_size=None if domain is None else typed(domain, int, "domain_size"),
-            amplitude_cap=typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
-                                "amplitude_cap"),
-        )
+        if (group is None) != (domain is None):
+            raise LayoutError("a layout states both the oracle's group and domain_size, or neither")
+        oracle = None if group is None else OracleSpec(
+            typed(domain, int, "domain_size"), GroupSpec.from_json(group, LayoutError))
+        return cls(regs, oracle, typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
+                                       "amplitude_cap"))
 
 
 def as_unitary(u, dim: int) -> np.ndarray:
@@ -349,9 +382,7 @@ class QuantumState:
         regs = list(self.layout.registers)
         r = regs[ax]
         regs[ax] = Register(new, r.dim, r.kind)
-        layout = RegisterLayout(regs, self.layout.group, self.layout.domain_size,
-                                self.layout.amplitude_cap)
-        return QuantumState(layout, self.amps, dict(self.fixed))
+        return QuantumState(self.layout.with_registers(regs), self.amps, dict(self.fixed))
 
     # -- reductions ----------------------------------------------------
 

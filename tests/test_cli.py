@@ -46,6 +46,20 @@ def test_config_validation_is_itemized():
     assert any("mode" in p for p in ExperimentConfig(mode="nope").validate())
 
 
+@pytest.mark.parametrize("raw", [
+    {"mode": "oracle-equivalence", "group": [1]},
+    {"mode": "oracle-equivalence", "group": []},
+    {"mode": "attack", "protocol": "announced-query", "group": [1]},
+])
+def test_a_bad_group_is_one_itemized_problem(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw | {"out_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: group factors must all be >= 2, got {raw['group']}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_is_rejected():
     with pytest.raises(ConfigError, match="unknown config key 'epz'"):
         ExperimentConfig.from_json({"mode": "attack", "epz": 0.1})
@@ -305,14 +319,20 @@ def damaged(summary, hit=None, match="summary.json", id=None):
     return pytest.param(summary, hit, match, id=id or summary)
 
 
-def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None, group=(2,)):
-    """A pcc-hit replay case whose state_a is a one-cell oracle state with these entries."""
-    layout = {"registers": [["H0", dim, "oracle"]], "group": list(group), "domain_size": 1}
+def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None, group=(2,), delta=0.5, d=2,
+                  **edits):
+    """A pcc-hit replay case whose state_a is a one-cell oracle state with these entries.
+
+    ``edits`` set further layout fields; a field set to None is left out.
+    """
+    layout = {"registers": [["H0", dim, "oracle"]], "group": group and list(group),
+              "domain_size": 1} | edits
+    layout = {k: v for k, v in layout.items() if v is not None}
     state = {"layout": layout, "fixed": fixed or {},
              "amps": [{"basis_index": i, "re": re, "im": 0.0} for i, re in amps]}
     good = {"layout": {"registers": [["H0", 2, "oracle"]], "group": [2], "domain_size": 1},
             "amps": [{"basis_index": 0, "re": 1.0, "im": 0.0}]}
-    hit = json.dumps({"state_a": state, "state_b": good, "delta": 0.5, "d": 2,
+    hit = json.dumps({"state_a": state, "state_b": good, "delta": delta, "d": d,
                       "report_a": {}, "report_b": {}})
     return damaged(PCC_SUMMARY, hit, error, id=f"hit-state-{name}")
 
@@ -358,6 +378,13 @@ def mistyped_hit(delta, d, read_delta=1.0, read_d=2):
     damaged_state("fixed-value-text", "LayoutError", fixed={"H1": "1"}),
     damaged_state("index-float", "LayoutError", amps=((0.0, 1.0),)),
     damaged_state("group-float", "LayoutError", group=(2.9,)),
+    damaged_state("group-without-domain", "LayoutError", domain_size=None),
+    damaged_state("domain-without-group", "LayoutError", group=None),
+    damaged_state("cap-below-size", "CapacityError", amplitude_cap=1),
+    damaged_state("without-oracle", "LayoutError", group=None, domain_size=None),
+    damaged_state("on-another-oracle", "DomainError", dim=3, group=(3,)),
+    damaged_state("beside-delta-2", "DomainError", delta=2.0),
+    damaged_state("beside-negative-d", "DomainError", d=-1),
     mistyped_hit(1.0, 2.7),
     mistyped_hit(1.0, "2"),
     mistyped_hit(1.0, True, read_d=1),
@@ -498,9 +525,15 @@ def test_describe_survives_an_unknown_party(tmp_path, capsys):
     assert "violation: round 1: unknown party 'C'" in out
 
 
-def test_describe_with_a_mistyped_group_is_a_config_error(capsys):
-    assert cli.main(["describe", "announced-query", "--group", "a"]) == 2
-    assert "config error: --group" in capsys.readouterr().err
+@pytest.mark.parametrize("args,problem", [
+    (["--group", "a"], "config error: --group"),
+    (["--n", "1"], "config error: protocol does not resolve: domain size"),
+    (["--n", "0"], "config error: protocol does not resolve: domain size"),
+    (["--group", "1"], "config error: protocol does not resolve: cyclic moduli"),
+], ids=["group-a", "n-1", "n-0", "group-1"])
+def test_describe_with_a_mistyped_group_is_a_config_error(capsys, args, problem):
+    assert cli.main(["describe", "merkle", *args]) == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_describe_flags_the_model_standing():

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qromlab import circuits
+import qromlab
+from qromlab import circuits, protocol, qstate, zoo
 from qromlab.algebra import GroupSpec
 from qromlab.errors import DimensionMismatchError, ZeroProbabilityError
 from qromlab.oracle import (
@@ -29,6 +30,7 @@ from qromlab.oracle import (
     init_purified,
     oracle_query,
     project_partial,
+    spec_of,
     weight,
 )
 from qromlab.qstate import QuantumState, Register, RegisterLayout
@@ -40,19 +42,18 @@ def spec_z2(n=2):
 
 def full(state):
     """``state`` with every untouched cell made live at |0̂⟩."""
-    return add_cells(state, range(state.layout.domain_size))
+    return add_cells(state, range(state.layout.oracle.domain_size))
 
 
 def dense_purified(spec, work_registers):
     """The uniform oracle on the explicit all-cells layout: every cell an axis at |0̂⟩."""
-    layout = RegisterLayout(list(work_registers) + spec.registers(), spec.group,
-                            spec.domain_size)
+    layout = RegisterLayout(list(work_registers) + spec.registers(), spec)
     return QuantumState.zero(layout)
 
 
 def to_computational(state):
     """Rotate every live oracle cell to the computational basis."""
-    f = state.layout.group.fourier_matrix
+    f = state.layout.oracle.group.fourier_matrix
     out = state
     for reg in state.layout.registers:
         if reg.kind == "oracle":
@@ -395,7 +396,7 @@ def reference_weight(state, x):
 @settings(max_examples=60, deadline=None)
 @given(oracle_states())
 def test_all_weights_matches_per_cell_formula(state):
-    n = state.layout.domain_size
+    n = state.layout.oracle.domain_size
     expect = [reference_weight(state, x) for x in range(n)]
     assert np.allclose(all_weights(state), expect, rtol=0, atol=1e-12)
     for x in range(n):
@@ -404,7 +405,7 @@ def test_all_weights_matches_per_cell_formula(state):
 
 def three_step_query(state, y_reg, x_reg=None, x_const=None, inverse=False):
     """Rotate y to its Fourier basis, shift (or phase) the cell, rotate back."""
-    g = state.layout.group
+    g = state.layout.oracle.group
     q = g.order
     work = state.apply_unitary(g.fourier_matrix.conj().T, [y_reg])
     amps = work.amps
@@ -446,8 +447,33 @@ def test_fused_query_matches_three_step_route(state, by_register, inverse, data)
     if by_register:
         kwargs = {"x_reg": "X"}
     else:
-        kwargs = {"x_const": data.draw(st.integers(0, state.layout.domain_size - 1))}
+        kwargs = {"x_const": data.draw(st.integers(0, state.layout.oracle.domain_size - 1))}
     got = oracle_query(state, "Yw", inverse=inverse, **kwargs)
     expect = three_step_query(state, "Yw", inverse=inverse, **kwargs)
     assert got.layout is state.layout and got.fixed == expect.fixed
     assert np.allclose(got.amps, expect.amps, rtol=0, atol=1e-12)
+
+
+def test_oracle_spec_is_one_class():
+    assert qromlab.OracleSpec is qromlab.oracle.OracleSpec is qstate.OracleSpec is OracleSpec
+
+
+def test_every_derived_layout_keeps_its_oracle_and_cap():
+    p = zoo.announced_query_protocol(4)
+    spec = p.oracle_spec()
+    cap = 2**12
+    start = init_purified(spec, [Register(r.name, r.dim) for r in p.registers], cap)
+    one_cell = add_cells(start, [1])
+    derived = [
+        start.collapse_register("T1", 0)[0],
+        start.attach_register(Register("W", 2), [1.0, 0.0]),
+        start.rename_register("YA", "YA2"),
+        one_cell,
+        oracle_query(start, "YA", x_const=2),
+        project_partial(one_cell, PartialOracle(((1, 0), (2, 1))))[0],
+        protocol.extract_alice_state(start, p),
+    ]
+    assert [len(s.layout.names) for s in derived] == [5, 7, 6, 7, 7, 6, 3]
+    for s in derived:
+        assert s.layout.oracle is spec and s.layout.amplitude_cap == cap
+        assert spec_of(s) is s.layout.oracle

@@ -701,7 +701,7 @@ def test_a_matrix_gate_reads_an_announced_register_as_a_control():
 
 def every_cell(state):
     """``state`` with every untouched oracle cell made live at |0̂⟩."""
-    return oracle.add_cells(state, range(state.layout.domain_size))
+    return oracle.add_cells(state, range(state.layout.oracle.domain_size))
 
 
 def whole_round_walk(p, table=None):

@@ -14,6 +14,7 @@ from qromlab.errors import (
 )
 from qromlab.qstate import (
     DensityOperator,
+    OracleSpec,
     QuantumState,
     Register,
     RegisterLayout,
@@ -233,7 +234,7 @@ def test_rename_register_onto_a_present_name_is_a_layout_error():
 
 
 def test_an_empty_layout_carries_an_oracle():
-    layout = RegisterLayout([], group=GroupSpec((3,)), domain_size=4)
+    layout = RegisterLayout([], OracleSpec(4, GroupSpec((3,))))
     s = QuantumState.zero(layout)
     assert s.amps.shape == () and s.norm() == 1.0
     back = QuantumState.load(json.loads(json.dumps(s.dump())))
@@ -242,7 +243,8 @@ def test_an_empty_layout_carries_an_oracle():
 
 @pytest.mark.parametrize("group", [[2.9], ["2"], [True], 2])
 def test_load_rejects_a_mistyped_group_factor(group):
-    data = QuantumState.zero(RegisterLayout([Register("H0", 2, "oracle")], domain_size=1)).dump()
+    layout = RegisterLayout([Register("H0", 2, "oracle")], OracleSpec(1, GroupSpec((2,))))
+    data = QuantumState.zero(layout).dump()
     data["layout"]["group"] = group
     with pytest.raises(LayoutError, match="group"):
         QuantumState.load(data)
