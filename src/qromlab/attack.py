@@ -151,7 +151,9 @@ def _repair(p: Protocol, components, finals, dists, k_E: int):
         eq_simulatedm = 0.0
     else:
         mixed /= mass
-    return eq_simulatedm, DensityOperator([Register(m_reg, m_dim, KIND_MESSAGE)], mixed), posts
+    # a convex mix of density matrices is positive semidefinite by construction
+    rho = DensityOperator._positive([Register(m_reg, m_dim, KIND_MESSAGE)], mixed)
+    return eq_simulatedm, rho, posts
 
 
 def full_attack(
@@ -186,7 +188,7 @@ def full_attack(
     if not 0 < eps < 1:
         raise DomainError(f"threshold must be in (0,1), got {eps}")
     rng = np.random.default_rng(seed)
-    table = check_table(p.oracle_spec(), table)
+    table = check_table(p.oracle, table)
     if cap is None:
         cap = default_cap(p, eps, lam)
 

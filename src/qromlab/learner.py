@@ -75,7 +75,7 @@ def learn(
     """
     if not 0 < eps < 1:
         raise DomainError(f"threshold must be in (0,1), got {eps}")
-    table = check_table(p.oracle_spec(), table)
+    table = check_table(p.oracle, table)
     if cap is not None and cap < 1:
         raise DomainError(f"cap must be at least 1, got {cap}")
 

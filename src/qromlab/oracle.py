@@ -58,10 +58,12 @@ from .errors import (
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
     KIND_ORACLE,
+    CheckedOp,
     OracleSpec,
     QuantumState,
     RegisterLayout,
     apply_matrix,
+    as_unitary,
 )
 
 SUPPORT_TOL = 1e-12
@@ -162,6 +164,12 @@ def init_table(spec: OracleSpec, work_registers, table,
     layout = RegisterLayout(work_registers, spec, amplitude_cap)
     return QuantumState(layout, QuantumState.zero(layout).amps,
                         dict(zip(spec.cell_names(), check_table(spec, table))))
+
+
+@functools.lru_cache(maxsize=None)
+def fourier_op(group: GroupSpec) -> CheckedOp:
+    """The group's Fourier matrix, checked once per group and shared by every caller."""
+    return CheckedOp("matrix", as_unitary(group.fourier_matrix, group.order))
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,7 +335,7 @@ def project_partial(state: QuantumState, partial: PartialOracle) -> tuple[Quantu
     Contradicting an already-collapsed cell is a zero-probability branch.
     """
     spec = spec_of(state)
-    fourier = spec.group.fourier_matrix
+    fourier = fourier_op(spec.group)
     prob = 1.0
     current = state
     for x, y in sorted(partial.pairs):
@@ -362,7 +370,7 @@ def computational_support(state: QuantumState) -> set[tuple[int, ...]]:
         raise CapacityError(
             f"{spec.function_count()} candidate tables exceed the cap {MAX_SUPPORT_FUNCTIONS}"
         )
-    fourier = spec.group.fourier_matrix
+    fourier = fourier_op(spec.group)
     state = add_cells(state, range(spec.domain_size))
     live = [n for n in spec.cell_names() if n not in state.fixed]
     rotated = state

@@ -216,7 +216,7 @@ def check_attack_dump(dump: dict) -> dict:
         transcript = tuple(dump["transcript"])
         sim = QuantumState.load(dump["simulated_state"])
         delta, d = typed(dump["delta"], (int, float), "delta"), typed(dump["d"], int, "d")
-        table = check_table(p.oracle_spec(), dump["table"]) if "table" in dump else None
+        table = check_table(p.oracle, dump["table"]) if "table" in dump else None
     except (KeyError, TypeError, ValueError) as exc:
         raise QromlabError(f"attack dump is damaged ({type(exc).__name__}: {exc})") from None
     real, _ = run_conditioned(p, transcript)

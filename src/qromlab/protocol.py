@@ -51,6 +51,7 @@ from .qstate import (
     KIND_MESSAGE,
     KIND_WORK,
     UNITARY_TOL,
+    CheckedOp,
     DensityOperator,
     OracleSpec,
     QuantumState,
@@ -92,19 +93,20 @@ class ProtocolRegister:
 
 @dataclass(frozen=True, eq=False)
 class ResolvedGate:
-    """A gate's checked op ("matrix" or "perm") on targets of dims ``tdims``, its inverse
-    (both read-only) and ``moved``, the targets some image changes, built when first asked."""
+    """A gate's checked op (a ``CheckedOp``, "matrix" or "perm") on targets of dims
+    ``tdims``, its inverse and ``moved``, the targets some image changes, built when
+    first asked."""
 
-    kind: str
-    op: np.ndarray
-    inverse: np.ndarray
+    op: CheckedOp
+    inverse: CheckedOp
     targets: tuple[str, ...]
     tdims: tuple[int, ...]
 
     @cached_property
     def moved(self) -> frozenset[str]:
-        images, inputs = (np.nonzero(np.abs(self.op) > UNITARY_TOL) if self.kind == "matrix"
-                          else (self.op, np.arange(len(self.op))))
+        op = self.op.array
+        images, inputs = (np.nonzero(np.abs(op) > UNITARY_TOL) if self.op.kind == "matrix"
+                          else (op, np.arange(len(op))))
         digits = np.indices(self.tdims).reshape(len(self.tdims), -1)
         return frozenset(t for t, d in zip(self.targets, digits) if np.any(d[images] != d[inputs]))
 
@@ -257,7 +259,9 @@ class Step:
 @dataclass(frozen=True)
 class Protocol:
     """Registers, rounds and Alice's final map; d, the no-final-query flag, each
-    round's message kind and the ensemble registers are computed from them."""
+    round's message kind and the ensemble registers are computed from them.
+    ``oracle`` is the one ``OracleSpec`` built from ``domain_size`` and ``group``;
+    every state a run of the protocol builds carries it."""
 
     name: str
     group: GroupSpec
@@ -268,11 +272,13 @@ class Protocol:
     key_reg_a: str
     key_reg_b: str
     amplitude_cap: int = DEFAULT_AMPLITUDE_CAP
+    oracle: OracleSpec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Built once here, not lazily: the CLI's pool threads share one protocol.
+        object.__setattr__(self, "oracle", OracleSpec(self.domain_size, self.group))
 
     # -- structure helpers ----------------------------------------------
-
-    def oracle_spec(self) -> OracleSpec:
-        return OracleSpec(self.domain_size, self.group)
 
     def register(self, name: str) -> ProtocolRegister:
         for r in self.registers:
@@ -589,14 +595,12 @@ def _resolve_gate(gate: Gate, tdims: tuple[int, ...]) -> ResolvedGate:
     """The one place a gate is built and checked, for targets of dims ``tdims``."""
     kind, op = _builtin_op(gate, tdims)
     if kind == "matrix":
-        op = as_unitary(op, math.prod(tdims)).view()  # the flags below stay off the caller's array
+        op = as_unitary(op, math.prod(tdims))
         inverse = op.conj().T
     else:
         op = as_permutation(op, math.prod(tdims))
         inverse = np.argsort(op)
-    op.setflags(write=False)
-    inverse.setflags(write=False)
-    return ResolvedGate(kind, op, inverse, gate.targets, tdims)
+    return ResolvedGate(CheckedOp(kind, op), CheckedOp(kind, inverse), gate.targets, tdims)
 
 
 def _builtin_op(gate: Gate, tdims: tuple[int, ...]):
@@ -638,21 +642,20 @@ def _restrict(form: ResolvedGate, at: tuple) -> ResolvedGate:
     that takes the block outside itself is rejected."""
     index = tuple(slice(None) if v is None else v for v in at)
     block = np.arange(math.prod(form.tdims)).reshape(form.tdims)[index].ravel()
-    if form.kind == "matrix":
-        op, inverse = (m[np.ix_(block, block)] for m in (form.op, form.inverse))
+    full, full_inverse = form.op.array, form.inverse.array
+    if form.op.kind == "matrix":
+        op, inverse = (m[np.ix_(block, block)] for m in (full, full_inverse))
         if np.abs(np.linalg.norm([op, inverse], axis=1) - 1).max() > UNITARY_TOL:
             raise UnsupportedProtocolError("matrix moves a frozen register")
     else:
-        position = np.full(len(form.op), -1)
+        position = np.full(len(full), -1)
         position[block] = np.arange(len(block))
-        op, inverse = position[form.op[block]], position[form.inverse[block]]
+        op, inverse = position[full[block]], position[full_inverse[block]]
         if np.any(op < 0):
             raise UnsupportedProtocolError("permutation moves a frozen register")
-    op.setflags(write=False)
-    inverse.setflags(write=False)
     live = [i for i, v in enumerate(at) if v is None]
-    return ResolvedGate(form.kind, op, inverse, tuple(form.targets[i] for i in live),
-                        tuple(form.tdims[i] for i in live))
+    return ResolvedGate(CheckedOp(form.op.kind, op), CheckedOp(form.op.kind, inverse),
+                        tuple(form.targets[i] for i in live), tuple(form.tdims[i] for i in live))
 
 
 def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
@@ -666,7 +669,7 @@ def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
         form = instr.resolved(tuple(dims[t] for t in instr.targets),
                               tuple(state.fixed.get(t) for t in instr.targets))
         op = form.inverse if inverse else form.op
-        if form.kind == "matrix":
+        if op.kind == "matrix":
             return state.apply_unitary(op, form.targets)
         return state.permute_basis(op, form.targets) if form.targets else state
 
@@ -713,8 +716,8 @@ def _initial_state(p: Protocol, table) -> QuantumState:
         for r in p.registers
     ]
     if table is None:
-        return qoracle.init_purified(p.oracle_spec(), regs, amplitude_cap=p.amplitude_cap)
-    return qoracle.init_table(p.oracle_spec(), regs, table, amplitude_cap=p.amplitude_cap)
+        return qoracle.init_purified(p.oracle, regs, amplitude_cap=p.amplitude_cap)
+    return qoracle.init_table(p.oracle, regs, table, amplitude_cap=p.amplitude_cap)
 
 
 def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -917,10 +920,9 @@ def joint_distribution(p: Protocol, table=None) -> dict:
 
 def averaged_concrete_distribution(p: Protocol) -> dict:
     """joint_distribution averaged uniformly over every oracle table."""
-    spec = p.oracle_spec()
     total: dict = {}
     count = 0
-    for table in spec.all_tables():
+    for table in p.oracle.all_tables():
         for key, w in joint_distribution(p, table=table).items():
             total[key] = total.get(key, 0.0) + w
         count += 1
@@ -947,7 +949,7 @@ def deliver(p: Protocol, state: QuantumState, vector) -> tuple[np.ndarray, Quant
     m = p.message_reg()
     dim = p.register(m).dim
     vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    if vec.shape[0] != dim or abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+    if vec.shape[0] != dim or not abs(np.linalg.norm(vec) - 1.0) <= 1e-9:
         raise DomainError(f"message must be a unit vector of length {dim}, got {vec}")
     if m in state.layout or state.is_fixed(m):
         state = state.rename_register(m, m + SIM_MESSAGE_SUFFIX)

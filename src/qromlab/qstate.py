@@ -17,6 +17,14 @@ layout nor ``fixed``, and implicitly the flat Fourier state |0̂⟩), live
 makes untouched cells live when a query first reaches them, so a layout
 that carries an oracle may hold no register at all: its state is then a
 single amplitude.
+
+Each value is checked once, where it enters: JSON load, the public
+constructors and kernels, and ``Gate.resolved``.  An operator that has
+passed its check travels as a ``CheckedOp``; given one, ``apply_unitary``
+and ``permute_basis`` compare only its size with the targets.  Internal
+density matrices that are positive semidefinite by construction
+(``partial_trace``, ``from_pure``, a convex mix of them) skip the
+Hermitian and eigenvalue tests; their trace is still tested.
 """
 
 from __future__ import annotations
@@ -196,12 +204,12 @@ class RegisterLayout:
 
 
 def as_unitary(u, dim: int) -> np.ndarray:
-    """``u`` as a complex array, checked to be a dim x dim unitary to 1e-10."""
+    """``u`` as a complex array, checked to be a dim x dim unitary to 1e-10 (NaN fails)."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (dim, dim):
         raise DimensionMismatchError(f"matrix shape {u.shape} does not act on dimension {dim}")
     err = np.abs(u @ u.conj().T - np.eye(dim)).max()
-    if err > UNITARY_TOL:
+    if not err <= UNITARY_TOL:
         raise NonUnitaryError(f"matrix deviates from unitarity by {err:.3e}")
     return u
 
@@ -212,6 +220,34 @@ def as_permutation(perm, block: int) -> np.ndarray:
     if perm.shape != (block,) or sorted(perm.tolist()) != list(range(block)):
         raise DimensionMismatchError("not a permutation of the joint target space")
     return perm
+
+
+@dataclass(frozen=True, eq=False)
+class CheckedOp:
+    """A unitary (``kind`` "matrix") or basis permutation ("perm") that passed
+    ``as_unitary``/``as_permutation`` or is derived from one that did.
+
+    Only checking code builds one (``Gate.resolved``, ``oracle.fourier_op``);
+    the kernels apply it unchecked.  ``array`` is kept as a read-only view.
+    """
+
+    kind: str
+    array: np.ndarray
+
+    def __post_init__(self) -> None:
+        view = self.array.view()
+        view.setflags(write=False)
+        object.__setattr__(self, "array", view)
+
+
+def _op_array(op, kind: str, block: int, check) -> np.ndarray:
+    """A CheckedOp's array once its kind and size fit; a raw op goes through ``check``."""
+    if not isinstance(op, CheckedOp):
+        return check(op, block)
+    if op.kind != kind or len(op.array) != block:
+        raise DimensionMismatchError(f"checked {op.kind} of size {len(op.array)} is no "
+                                     f"{kind} on dimension {block}")
+    return op.array
 
 
 def apply_matrix(amps: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
@@ -250,7 +286,7 @@ class QuantumState:
         amps = np.asarray(vector, dtype=np.complex128).reshape(layout.dims)
         s = cls(layout, amps.copy(), dict(fixed or {}))
         n = s.norm()
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise DimensionMismatchError(f"state vector must be normalized, got norm {n}")
         return s
 
@@ -277,7 +313,9 @@ class QuantumState:
 
     # -- evolution -----------------------------------------------------
 
-    def apply_unitary(self, u: np.ndarray, targets) -> "QuantumState":
+    def apply_unitary(self, u, targets) -> "QuantumState":
+        """Apply ``u`` to the joint index of ``targets``, the first slowest; only a
+        ``CheckedOp`` skips ``as_unitary`` (its size is still tested)."""
         targets = list(targets)
         for t in targets:
             if t in self.fixed:
@@ -285,11 +323,12 @@ class QuantumState:
         axes = [self.layout.axis(t) for t in targets]
         dims = [self.layout.dims[a] for a in axes]
         block = math.prod(dims)
-        out = apply_matrix(self.amps, as_unitary(u, block), axes)
+        out = apply_matrix(self.amps, _op_array(u, "matrix", block, as_unitary), axes)
         return QuantumState(self.layout, out, dict(self.fixed))
 
-    def permute_basis(self, perm: np.ndarray, targets) -> "QuantumState":
-        """Relabel joint basis states of ``targets``: |j> -> |perm[j]>."""
+    def permute_basis(self, perm, targets) -> "QuantumState":
+        """Relabel joint basis states of ``targets``: |j> -> |perm[j]>; only a
+        ``CheckedOp`` skips ``as_permutation`` (its size is still tested)."""
         targets = list(targets)
         for t in targets:
             if t in self.fixed:
@@ -297,7 +336,7 @@ class QuantumState:
         axes = [self.layout.axis(t) for t in targets]
         dims = [self.layout.dims[a] for a in axes]
         block = math.prod(dims)
-        perm = as_permutation(perm, block)
+        perm = _op_array(perm, "perm", block, as_permutation)
         moved = np.moveaxis(self.amps, axes, range(len(axes)))
         shape = moved.shape
         flat = moved.reshape(block, -1)
@@ -353,7 +392,7 @@ class QuantumState:
             raise LayoutError(f"register {reg.name!r} already present")
         v = np.asarray(vector, dtype=np.complex128).reshape(reg.dim)
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise DimensionMismatchError("attached vector must be normalized")
         layout = self.layout.insert_before_oracle(reg)
         pos = layout.axis(reg.name)
@@ -398,7 +437,8 @@ class QuantumState:
         if kept_dim > kept_cap:
             raise CapacityError(f"kept dimension {kept_dim} exceeds cap {kept_cap}")
         mat = self.split(keep)
-        return DensityOperator([self.layout.register(k) for k in keep], mat @ mat.conj().T)
+        return DensityOperator._positive([self.layout.register(k) for k in keep],
+                                         mat @ mat.conj().T)
 
     def schmidt_spectrum(self, part_a) -> np.ndarray:
         """Singular values across the cut (part_a : everything else)."""
@@ -439,9 +479,33 @@ class QuantumState:
 
 
 class DensityOperator:
-    """Mixed state over a list of registers, stored as a dense matrix."""
+    """Mixed state over a list of registers, stored as a dense matrix.
+
+    The constructor tests that the matrix is Hermitian with trace 1 and no
+    negative eigenvalue.  ``from_pure`` and the internal ``_positive`` take
+    a matrix that is positive semidefinite by construction and test only
+    its shape and trace.  NaN fails every test.
+    """
 
     def __init__(self, registers, matrix: np.ndarray):
+        self._set(registers, matrix)
+        herm = np.abs(self.matrix - self.matrix.conj().T).max()
+        if not herm <= 1e-10:
+            raise DimensionMismatchError(f"matrix is not Hermitian (deviation {herm:.3e})")
+        evals = np.linalg.eigvalsh(self.matrix)
+        if not evals.min() >= -1e-9:
+            raise DimensionMismatchError(f"negative eigenvalue {evals.min():.3e}")
+
+    @classmethod
+    def _positive(cls, registers, matrix: np.ndarray) -> "DensityOperator":
+        """For this package's own positive semidefinite matrices (a Gram matrix
+        M M†, a convex mix of density matrices): no Hermitian or eigenvalue test."""
+        rho = cls.__new__(cls)
+        rho._set(registers, matrix)
+        return rho
+
+    def _set(self, registers, matrix) -> None:
+        """Keep ``matrix`` once its shape fits the registers and its trace is 1 to 1e-9."""
         self.registers = tuple(registers)
         dim = math.prod(r.dim for r in self.registers)
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -449,28 +513,20 @@ class DensityOperator:
             raise DimensionMismatchError(
                 f"matrix shape {matrix.shape} does not match register dimension {dim}"
             )
+        tr = matrix.trace()
+        if not abs(tr - 1.0) <= 1e-9:
+            raise DimensionMismatchError(f"trace is {tr}, expected 1")
         self.matrix = matrix
-        self.validate()
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self) -> None:
-        herm = np.abs(self.matrix - self.matrix.conj().T).max()
-        if herm > 1e-10:
-            raise DimensionMismatchError(f"matrix is not Hermitian (deviation {herm:.3e})")
-        tr = self.matrix.trace()
-        if abs(tr - 1.0) > 1e-9:
-            raise DimensionMismatchError(f"trace is {tr}, expected 1")
-        evals = np.linalg.eigvalsh(self.matrix)
-        if evals.min() < -1e-9:
-            raise DimensionMismatchError(f"negative eigenvalue {evals.min():.3e}")
-
     @classmethod
     def from_pure(cls, registers, vector) -> "DensityOperator":
+        """|v><v| for a unit ``vector``."""
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        return cls(registers, np.outer(v, v.conj()))
+        return cls._positive(registers, np.outer(v, v.conj()))
 
     def overlap(self, vector) -> float:
         """<psi| rho |psi> for a pure state given as a vector."""

@@ -89,7 +89,7 @@ def test_criterion_3_parties_are_independent_given_transcript_and_table():
     branches = 0
     for name, p in zoo.standard_zoo(4, Z2).items():
         alice = p.regs_with_role("A")
-        for table in p.oracle_spec().all_tables():
+        for table in p.oracle.all_tables():
             for branch in proto.enumerate_branches(p, table=table):
                 sv = branch.state.schmidt_spectrum(alice)
                 second = 0.0 if len(sv) < 2 else float(sv[1])

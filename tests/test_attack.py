@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qromlab import attack as atk
-from qromlab import zoo
+from qromlab import oracle, protocol, qstate, zoo
 from qromlab.algebra import cyclic
 from qromlab.errors import DomainError, UnsupportedProtocolError
 from qromlab.learner import LearnerOutcome, learn
@@ -289,3 +289,43 @@ def test_numpy_integer_tables_are_recorded_as_python_ints():
     assert out.table == (1, 0, 1, 0)
     assert all(type(v) is int for v in out.table)
     assert learn(p, out.transcript, 0.05, np.array([1, 0, 1, 0])).learned == out.learner.learned
+
+
+def attack_pass(protocols, trials=6):
+    """Round-robin full attacks, one seeded table per trial."""
+    for trial in range(trials):
+        p = protocols[trial % len(protocols)]
+        rng = np.random.default_rng(trial)
+        atk.full_attack(p, 0.05, 0.05, atk.random_table(rng, p), seed=rng)
+
+
+def test_a_second_pass_over_the_same_trials_checks_nothing_again(monkeypatch):
+    calls = []
+    for module, name in ((qstate, "as_unitary"), (qstate, "as_permutation"),
+                         (protocol, "as_unitary"), (protocol, "as_permutation"),
+                         (oracle, "as_unitary"), (np.linalg, "eigvalsh")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    zoo4 = zoo.standard_zoo(4)
+    protocols = [zoo4[n] for n in ("announced-query", "merkle", "ka-from-toy-qpke")]
+    attack_pass(protocols)
+    assert calls  # the first pass checks each gate once
+    calls.clear()
+    attack_pass(protocols)
+    assert calls == []
+
+
+def test_every_state_of_an_attack_trial_carries_the_protocol_oracle(monkeypatch):
+    built = []
+    real_init = QuantumState.__init__
+    monkeypatch.setattr(QuantumState, "__init__",
+                        lambda self, *a, **k: built.append(self) or real_init(self, *a, **k))
+    for name, p in zoo.standard_zoo(4).items():
+        if not p.alice_no_final_query:
+            continue
+        built.clear()
+        rng = np.random.default_rng(5)
+        atk.full_attack(p, 0.05, 0.05, atk.random_table(rng, p), seed=rng, keep_states=True)
+        assert built, name
+        assert all(s.layout.oracle is p.oracle for s in built), name

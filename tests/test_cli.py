@@ -11,7 +11,7 @@ import pytest
 
 from qromlab import cli, pcc, zoo
 from qromlab.cli import ConfigError, ExperimentConfig
-from qromlab.errors import ProtocolShapeError, QromlabError, ReplayMismatchError
+from qromlab.errors import DomainError, ProtocolShapeError, QromlabError, ReplayMismatchError
 from qromlab.protocol import KEY_ABORT, Protocol, permutation_gate, validate
 
 
@@ -373,6 +373,7 @@ def mistyped_hit(delta, d, read_delta=1.0, read_d=2):
     damaged_state("index-past-the-end", "DimensionMismatchError", amps=((2, 0.6), (0, 0.8))),
     damaged_state("repeated-index", "DimensionMismatchError", amps=((0, 0.6), (0, 0.8))),
     damaged_state("norm-0.61", "DimensionMismatchError", amps=((1, 0.6), (0, 0.1))),
+    damaged_state("nan-amplitude", "DimensionMismatchError", amps=((0, float("nan")),)),
     damaged_state("dim-text", "LayoutError", dim="x"),
     damaged_state("dim-float", "LayoutError", dim=2.0),
     damaged_state("fixed-value-text", "LayoutError", fixed={"H1": "1"}),
@@ -435,6 +436,17 @@ def add_to_round(i, instr):
 
 IDENTITY_3 = [[[float(r == c), 0.0] for c in range(3)] for r in range(3)]
 STRETCH = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+NAN_DIAGONAL = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def without_queries(domain_size):
+    """Drop every query and state ``domain_size``."""
+    def edit(data):
+        for program in [s["program"] for s in data["rounds"]] + [data["final_a"]["program"]]:
+            program[:] = [i for i in program if i["op"] != "query"]
+        data.pop("query_budget")
+        data["domain_size"] = domain_size
+    return edit
 
 
 @pytest.mark.parametrize("edit,problem", [
@@ -449,13 +461,16 @@ STRETCH = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
                       "matrix": IDENTITY_3}), "does not act on dimension 2"),
     (add_to_round(0, {"op": "unitary", "name": "matrix", "targets": ["YA"],
                       "matrix": STRETCH}), "deviates from unitarity"),
+    (add_to_round(0, {"op": "unitary", "name": "matrix", "targets": ["YA"],
+                      "matrix": NAN_DIAGONAL}), "deviates from unitarity by nan"),
+    (without_queries(0), "oracle domain must have at least one point"),
 ])
 def test_bad_round_or_gate_is_a_config_error(tmp_path, capsys, edit, problem):
     data = zoo.announced_query_protocol(4).to_json()
     edit(data)
     try:
         report = validate(Protocol.from_json(data))
-    except ProtocolShapeError as exc:
+    except (ProtocolShapeError, DomainError) as exc:
         assert problem in str(exc)
     else:
         assert any(problem in v for v in report.violations), report.violations

@@ -460,7 +460,7 @@ def test_oracle_spec_is_one_class():
 
 def test_every_derived_layout_keeps_its_oracle_and_cap():
     p = zoo.announced_query_protocol(4)
-    spec = p.oracle_spec()
+    spec = p.oracle
     cap = 2**12
     start = init_purified(spec, [Register(r.name, r.dim) for r in p.registers], cap)
     one_cell = add_cells(start, [1])

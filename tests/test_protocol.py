@@ -352,8 +352,8 @@ def test_alice_final_accepts_honest_and_rejects_flipped_message():
         assert dist.sum() == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("message", [[0, 0.5], [0, 1, 0], [0.6, 0.6]],
-                         ids=["half-basis", "long", "unnormalized"])
+@pytest.mark.parametrize("message", [[0, 0.5], [0, 1, 0], [0.6, 0.6], [np.nan, 0]],
+                         ids=["half-basis", "long", "unnormalized", "nan"])
 def test_a_message_that_is_no_unit_vector_is_a_domain_error(message):
     p = tiny_protocol()
     trace = proto.run_concrete(p, (0, 1), seed=1)
@@ -384,7 +384,7 @@ def test_program_inverse_is_inverse():
         proto.controlled_add_gate("YA", "KA", group=cyclic(3)),
         proto.Query("YB", x_const=1),
     )
-    spec = p.oracle_spec()
+    spec = p.oracle
     regs = [
         Register("T1", 2, KIND_MESSAGE),
         Register("YA", 2, KIND_WORK),
@@ -497,7 +497,7 @@ def test_a_bad_table_is_a_domain_error_on_every_table_route(table):
         "run_conditioned": lambda: proto.run_conditioned(p, (1,), table=table),
         "enumerate_branches": lambda: proto.enumerate_branches(p, table=table),
         "joint_distribution": lambda: proto.joint_distribution(p, table=table),
-        "circuits.run_fixed": lambda: circuits.run_fixed(p.oracle_spec(), [], table),
+        "circuits.run_fixed": lambda: circuits.run_fixed(p.oracle, [], table),
     }
     for name, run in runs.items():
         with pytest.raises(DomainError, match="oracle table"):
@@ -526,7 +526,7 @@ def test_alice_final_asks_the_oracle_its_state_carries():
     with pytest.raises(QromlabError, match="oracle"):
         proto.alice_final(p, oracle_less, message)
     # the same registers beside a table answer from that table alone
-    dists = [proto.alice_final(p, init_table(p.oracle_spec(), oracle_less.layout.registers, t),
+    dists = [proto.alice_final(p, init_table(p.oracle, oracle_less.layout.registers, t),
                                message) for t in ((0, 1, 0), (0, 0, 0))]
     assert all(d.sum() == pytest.approx(1.0) for d in dists)
     assert not np.allclose(dists[0], dists[1])
@@ -929,7 +929,7 @@ def test_one_gate_object_keeps_one_resolved_form_per_target_dims():
                                             inverse=inverse)
             assert np.array_equal(got.amps, fresh.amps)
         form = gate.resolved((dim,))
-        assert not form.op.flags.writeable and not form.inverse.flags.writeable
+        assert not form.op.array.flags.writeable and not form.inverse.array.flags.writeable
     assert gate.resolved((4,)) is form and gate.resolved((8,)) is not form
 
 
@@ -965,7 +965,7 @@ def test_a_gate_restricts_itself_once_per_frozen_value(monkeypatch):
     monkeypatch.setattr(proto, "_restrict",
                         lambda form, at: contexts.append((id(form), at)) or real(form, at))
     p = zoo.merkle_ka_protocol(4)
-    for table in p.oracle_spec().all_tables():
+    for table in p.oracle.all_tables():
         proto.enumerate_branches(p, table=table)
         proto.enumerate_branches(p)
     assert contexts and len(contexts) == len(set(contexts))

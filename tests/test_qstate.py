@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from qromlab.algebra import GroupSpec
 from qromlab.errors import (
     CapacityError,
+    DimensionMismatchError,
     LayoutError,
     NonUnitaryError,
     ZeroProbabilityError,
 )
 from qromlab.qstate import (
+    CheckedOp,
     DensityOperator,
     OracleSpec,
     QuantumState,
     Register,
     RegisterLayout,
+    as_unitary,
     canonical_phase,
 )
 
@@ -54,6 +57,41 @@ def test_apply_unitary_rejects_non_unitary():
     s = QuantumState.zero(two_qubits())
     with pytest.raises(NonUnitaryError):
         s.apply_unitary(np.array([[1, 1], [0, 1]]), ["a"])
+    with pytest.raises(NonUnitaryError):
+        s.apply_unitary(np.array([[np.nan, 0], [0, 1]]), ["a"])
+    with pytest.raises(DimensionMismatchError, match="not a permutation"):
+        s.permute_basis(np.array([0, 0]), ["a"])
+
+
+def test_a_checked_op_is_applied_only_where_its_size_and_kind_fit():
+    s = QuantumState.zero(two_qubits())
+    for kernel, op in ((s.apply_unitary, CheckedOp("matrix", np.eye(4))),
+                       (s.permute_basis, CheckedOp("perm", np.arange(4)))):
+        with pytest.raises(DimensionMismatchError):
+            kernel(op, ["a"])
+        assert np.array_equal(kernel(op, ["a", "b"]).amps, s.amps)
+    with pytest.raises(DimensionMismatchError):
+        s.permute_basis(CheckedOp("matrix", np.eye(2)), ["a"])
+    with pytest.raises(DimensionMismatchError):
+        s.apply_unitary(CheckedOp("perm", np.arange(2)), ["a"])
+
+
+def test_nan_fails_every_numeric_check():
+    nan_matrix = np.array([[np.nan, 0], [0, 1]])
+    with pytest.raises(NonUnitaryError):
+        as_unitary(nan_matrix, 2)
+    with pytest.raises(DimensionMismatchError):
+        DensityOperator([Register("a", 2)], nan_matrix)
+    with pytest.raises(DimensionMismatchError):
+        DensityOperator.from_pure([Register("a", 2)], [np.nan, 0])
+    with pytest.raises(DimensionMismatchError):
+        QuantumState.from_vector(two_qubits(), [np.nan, 0, 0, 0])
+    data = QuantumState.zero(two_qubits()).dump()
+    data["amps"][0]["re"] = float("nan")
+    with pytest.raises(DimensionMismatchError):
+        QuantumState.load(json.loads(json.dumps(data)))
+    with pytest.raises(DimensionMismatchError):
+        QuantumState.zero(two_qubits()).attach_register(Register("m", 2), [np.nan, 0])
 
 
 def test_unitary_preserves_norm_random():
@@ -157,8 +195,12 @@ def test_partial_trace_cap():
 
 
 def test_density_operator_validation_and_overlap():
-    with pytest.raises(Exception):
-        DensityOperator([Register("a", 2)], np.array([[0.5, 0.5], [0.1, 0.5]]))
+    for matrix, problem in (([[0.5, 0.5], [0.1, 0.5]], "not Hermitian"),
+                            ([[1.5, 0], [0, -0.5]], "negative eigenvalue"),
+                            (np.eye(2), "trace is"),
+                            (np.eye(4) / 4, "matrix shape")):
+        with pytest.raises(DimensionMismatchError, match=problem):
+            DensityOperator([Register("a", 2)], np.array(matrix))
     rho = DensityOperator([Register("a", 2)], np.eye(2) / 2)
     assert rho.overlap(np.array([1, 0])) == pytest.approx(0.5)
     ens = rho.eig_ensemble()

@@ -39,7 +39,7 @@ def test_every_zoo_protocol_validates():
 
 def test_perfect_correctness_over_all_tables():
     for name, p in zoo_at(4).items():
-        spec = p.oracle_spec()
+        spec = p.oracle
         for table in spec.all_tables():
             dist = proto.joint_distribution(p, table=table)
             for (_, k_B, k_A), mass in dist.items():
@@ -60,7 +60,7 @@ def test_purified_equals_averaged_concrete():
 def test_labs_are_product_given_transcript_and_table():
     for name, p in zoo_at(2).items():
         alice_regs = p.regs_with_role("A")
-        spec = p.oracle_spec()
+        spec = p.oracle
         for table in spec.all_tables():
             for branch in proto.enumerate_branches(p, table=table):
                 sv = branch.state.schmidt_spectrum(alice_regs)
@@ -136,7 +136,7 @@ def test_qpke_reduction_flags_follow_dec():
     assert rep.ok
     assert any("active attack" in n for n in rep.notices)
 
-    spec = querying.oracle_spec()
+    spec = querying.oracle
     for table in spec.all_tables():
         dist = proto.joint_distribution(querying, table=table)
         for (_, k_B, k_A), mass in dist.items():
