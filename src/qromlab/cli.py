@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import numbers
@@ -220,9 +221,7 @@ class ExperimentConfig:
             raise ConfigError(["no protocol configured"])
         path = Path(self.protocol)
         if path.suffix == ".json" or path.exists():
-            if not path.exists():
-                raise ConfigError([f"protocol file {self.protocol!r} does not exist"])
-            return Protocol.from_json(json.loads(path.read_text()))
+            return Protocol.from_json(_read_file(path))
         builtins = zoo.standard_zoo(self.n, self.group_spec())
         if self.protocol in builtins:
             return builtins[self.protocol]
@@ -442,14 +441,27 @@ def describe(name: str, n: int = 4, group=(2,)) -> str:
     return "\n".join(lines)
 
 
+def _read_file(path, as_json: bool = True):
+    """The CLI's one file reader: ``path``'s UTF-8 text, parsed as JSON when ``as_json``.
+
+    A file that cannot be opened or decoded, or JSON that does not parse,
+    is a ConfigError.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except OSError as exc:
+        raise ConfigError([f"{path} cannot be read ({exc.strerror or exc})"]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path} is not UTF-8 text ({exc.reason})"]) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{path} is not valid JSON ({exc})"]) from None
+
+
 def _read_csv_row(path: Path, trial: int) -> dict:
-    if not path.exists():
-        raise ConfigError([f"{path} does not exist"])
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            if row.get("trial") == str(trial):
-                return row
+    for row in csv.DictReader(io.StringIO(_read_file(path, as_json=False))):
+        if row.get("trial") == str(trial):
+            return row
     raise ConfigError([f"trial {trial} not found in {path}"])
 
 
@@ -466,19 +478,12 @@ def _close(recorded, recomputed) -> bool:
     return abs(a - b) <= REPLAY_TOL
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"{path} is not valid JSON ({exc})"]) from None
-
-
 def _replay_pcc_hit(run_dir: Path) -> dict:
     dump_path = run_dir / "dumps" / "pcc_hit.json"
     if not dump_path.exists():
         raise ConfigError(["no hit was dumped; nothing to replay"])
+    dump = _read_file(dump_path)
     try:
-        dump = json.loads(dump_path.read_text())
         phi = QuantumState.load(dump["state_a"])
         psi = QuantumState.load(dump["state_b"])
         delta, d = typed(dump["delta"], (int, float), "delta"), typed(dump["d"], int, "d")
@@ -522,7 +527,7 @@ def replay(trial: int, run_dir, sweep: int = 0) -> dict:
     run_dir = Path(run_dir)
     if not (run_dir / "summary.json").exists():
         raise ConfigError([f"{run_dir} has no summary.json; not an experiment directory"])
-    summary = _read_json(run_dir / "summary.json")
+    summary = _read_file(run_dir / "summary.json")
     if not isinstance(summary, dict) or summary.get("mode") not in MODES or "config" not in summary:
         raise ConfigError([f"{run_dir}/summary.json lacks a known mode or the config"])
     mode = summary["mode"]
@@ -547,7 +552,7 @@ def replay(trial: int, run_dir, sweep: int = 0) -> dict:
             fresh, _, fresh_dump = _attack_trial(p, cfg, eps, trial)
             dump_path = run_dir / "dumps" / f"trial{trial}_eps{sweep}.json"
             if dump_path.exists():
-                dump = _read_json(dump_path)
+                dump = _read_file(dump_path)
                 if json.dumps(fresh_dump, sort_keys=True) != json.dumps(dump, sort_keys=True):
                     raise ReplayMismatchError("dump content differs from a fresh re-run")
                 extra["dump_check"] = pcc.check_attack_dump(dump)
@@ -583,16 +588,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            try:
-                raw = json.loads(Path(args.config).read_text())
-            except FileNotFoundError:
-                print(f"config error: no such file {args.config!r}", file=sys.stderr)
-                return 2
-            except json.JSONDecodeError as exc:
-                print(f"config error: {args.config} is not valid JSON ({exc})",
-                      file=sys.stderr)
-                return 2
-            cfg = ExperimentConfig.from_json(raw)
+            cfg = ExperimentConfig.from_json(_read_file(args.config))
             if args.out:
                 cfg.out_dir = args.out
             summary = run_experiment(cfg)

@@ -63,6 +63,7 @@ from .qstate import (
     QuantumState,
     RegisterLayout,
     apply_matrix,
+    as_matrix,
     as_unitary,
 )
 
@@ -243,27 +244,25 @@ def oracle_query(
     y_ax = state.layout.axis(y_reg)
     fused = _query_unitary(group, bool(inverse))
 
-    def query_cell(amps: np.ndarray, x: int, dropped_ax: int | None) -> np.ndarray:
-        # ``amps`` lacks the layout axis ``dropped_ax`` when it is an address slice.
-        def ax(a: int) -> int:
-            return a - 1 if dropped_ax is not None and a > dropped_ax else a
+    def query_cell(amps: np.ndarray, x: int) -> np.ndarray:
+        # ``amps`` has every layout axis; an address slice keeps its own at length 1.
         cell = spec.cell_name(x)
         if cell in state.fixed:
             v = state.fixed[cell]
             gather = group.add_table[:, v if inverse else group.neg_table[v]]
-            return np.take(amps, gather, axis=ax(y_ax))
-        return apply_matrix(amps, fused, [ax(y_ax), ax(state.layout.axis(cell))])
+            return np.take(amps, gather, axis=y_ax)
+        return apply_matrix(amps, fused, [y_ax, state.layout.axis(cell)])
 
     if x_const is not None:
-        out = query_cell(state.amps, x_const, None)
+        out = query_cell(state.amps, x_const)
     else:
         x_ax = state.layout.axis(x_reg)
         out = np.empty_like(state.amps)
         idx = [slice(None)] * state.amps.ndim
         for x in range(x_dim):
-            idx[x_ax] = x
+            idx[x_ax] = slice(x, x + 1)
             sl = tuple(idx)
-            out[sl] = query_cell(state.amps[sl], x, x_ax)
+            out[sl] = query_cell(state.amps[sl], x)
     return QuantumState(state.layout, out, dict(state.fixed))
 
 
@@ -280,24 +279,21 @@ def all_weights(state: QuantumState) -> np.ndarray:
     """Weight of every domain point, read off one pass over |amps|².
 
     The squared amplitudes are summed down to their marginal on the live
-    oracle cells, which are the last axes and have |Y|^live entries.  A
-    cell's flat mass is that marginal's sum at its Fourier index 0, and
-    its weight is 1 - flat mass / total.  Untouched and learned cells
-    weigh 0.
+    oracle cells, which has |Y|^live entries.  A cell's flat mass is that
+    marginal's sum at its Fourier index 0, and its weight is
+    1 - flat mass / total.  Untouched and learned cells weigh 0.
     """
     spec = spec_of(state)
-    live = [x for x in range(spec.domain_size) if spec.cell_name(x) in state.layout]
-    p = np.abs(state.amps) ** 2
-    first = p.ndim - len(live)
-    marginal = p.reshape(-1, *p.shape[first:]).sum(axis=0)
+    points = {name: x for x, name in enumerate(spec.cell_names())}
+    live = [n for n in state.layout.names if n in points]  # the marginal's axes
+    marginal = state.marginal(live)
     total = float(marginal.sum())
     if total <= 0:
         raise ZeroProbabilityError("state has zero norm")
     weights = np.zeros(spec.domain_size)
-    for x in live:
-        cell_ax = state.layout.axis(spec.cell_name(x)) - first
+    for cell_ax, name in enumerate(live):
         flat_mass = float(marginal.take(0, axis=cell_ax).sum())
-        weights[x] = max(0.0, 1.0 - flat_mass / total)
+        weights[points[name]] = max(0.0, 1.0 - flat_mass / total)
     return weights
 
 
@@ -312,12 +308,9 @@ def fourier_support_size(state: QuantumState) -> int:
     live = [n for n in spec.cell_names() if n in state.layout]
     if not live:
         return 0
-    axes = tuple(state.layout.axis(n) for n in live)
-    other = tuple(a for a in range(state.amps.ndim) if a not in axes)
-    p = np.abs(state.amps) ** 2
-    mask = p > SUPPORT_TOL
-    if other:
-        mask = mask.any(axis=other)
+    heavy = np.abs(state.amps) ** 2 > SUPPORT_TOL
+    mask = as_matrix(heavy, [state.layout.axis(n) for n in live]).any(axis=1)
+    mask = mask.reshape([state.layout.dim(n) for n in live])
     if not mask.any():
         return 0
     counts = (np.indices(mask.shape) != 0).sum(axis=0)  # non-flat cells of each basis state
@@ -372,23 +365,18 @@ def computational_support(state: QuantumState) -> set[tuple[int, ...]]:
         )
     fourier = fourier_op(spec.group)
     state = add_cells(state, range(spec.domain_size))
-    live = [n for n in spec.cell_names() if n not in state.fixed]
+    cells = spec.cell_names()
+    # the marginal's axes, in layout order; a fixed table has none and is read off ``fixed``
+    live = [n for n in state.layout.names if n in cells]
     rotated = state
     for cell in live:
         rotated = rotated.apply_unitary(fourier, [cell])
-    # Oracle cells sit last and in domain order, so after summing out the
-    # other axes the remaining axes are the live cells in ascending x (none
-    # for a fixed table, whose one table is read off ``fixed``).
-    axes = tuple(rotated.layout.axis(n) for n in live)
-    other = tuple(a for a in range(rotated.amps.ndim) if a not in axes)
-    p = np.abs(rotated.amps) ** 2
-    if other:
-        p = p.sum(axis=other)
+    p = rotated.marginal(live)
 
     support = set()
     live_points = [int(n[1:]) for n in live]
     for coords in np.argwhere(p > SUPPORT_TOL):
-        table = [state.fixed.get(n, 0) for n in spec.cell_names()]
+        table = [state.fixed.get(n, 0) for n in cells]
         for point, value in zip(live_points, coords):
             table[point] = int(value)
         support.add(tuple(table))

@@ -780,22 +780,14 @@ def message_ensemble(state: QuantumState, p: Protocol) -> list[EnsembleComponent
     purify the message).
     """
     m_reg = p.message_reg()
-    layout = state.layout
-    m_ax = layout.axis(m_reg)
-    ens_axes = [layout.axis(r) for r in p.ensemble_regs]
-    amps = state.amps
+    ens_dims = [state.layout.dim(r) for r in p.ensemble_regs]
+    blocks = state.split([*p.ensemble_regs, m_reg]).reshape(
+        math.prod(ens_dims), state.layout.dim(m_reg), -1)
     components: list[EnsembleComponent] = []
-    ens_dims = tuple(layout.dims[a] for a in ens_axes)
-    for values in np.ndindex(*ens_dims) if ens_axes else [()]:
-        slicer = [slice(None)] * amps.ndim
-        for a, v in zip(ens_axes, values):
-            slicer[a] = v
-        sub = amps[tuple(slicer)]
-        q = float(np.sum(np.abs(sub) ** 2))
+    for values, mat in zip(np.ndindex(*ens_dims), blocks):
+        q = float(np.sum(np.abs(mat) ** 2))
         if q < _BRANCH_TOL:
             continue
-        new_m = m_ax - sum(1 for a in ens_axes if a < m_ax)
-        mat = np.moveaxis(sub, new_m, 0).reshape(layout.dims[m_ax], -1)
         vector = _leading_vector(mat, "message register is not pure given the ensemble registers")
         components.append(EnsembleComponent(q, vector, tuple(int(v) for v in values)))
     total = sum(c.weight for c in components)

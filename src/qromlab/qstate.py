@@ -1,10 +1,13 @@
 """Dense pure-state engine over named registers.
 
 Amplitudes are stored as a complex128 ndarray shaped by the register
-dimensions in declaration order.  Oracle-cell registers always come last
-in the layout, so truncating a learned cell is a contiguous slice.
-Registers that have been truncated away live on in ``fixed`` with the
-basis value they were frozen at.
+dimensions in layout order.  Only this module knows that order: callers
+name registers and read or rotate them through the block view
+(``as_matrix``, ``on_axes``, ``QuantumState.split``) or
+``QuantumState.marginal``.  Oracle cells stay last, in domain order,
+because ``insert_before_oracle`` and ``oracle.add_cells`` keep them
+there.  ``collapse_register`` slices out any axis, as a strided view;
+the register lives on in ``fixed`` with the basis value it was frozen at.
 
 A state's oracle is described in one place, ``RegisterLayout.oracle``:
 an ``OracleSpec`` (domain size and range group), or None for a state
@@ -250,17 +253,35 @@ def _op_array(op, kind: str, block: int, check) -> np.ndarray:
     return op.array
 
 
-def apply_matrix(amps: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
-    """Contract ``u`` with the joint index of ``axes`` of a dense amplitude array.
+def _block_order(ndim: int, axes: list[int]) -> list[int]:
+    """``axes`` first, in the given order, then every other axis in layout order."""
+    return axes + [a for a in range(ndim) if a not in axes]
+
+
+def as_matrix(amps: np.ndarray, axes) -> np.ndarray:
+    """The array as a (joint index of ``axes``, rest) matrix, through one ``transpose``.
 
     The joint index runs over ``axes`` in the given order, the first
-    slowest.  ``u`` is used as given; callers check unitarity.
+    slowest; the rest runs over the other axes in layout order.  The
+    result is a view when the reshape allows one.
     """
     axes = list(axes)
-    moved = np.moveaxis(amps, axes, range(len(axes)))
-    shape = moved.shape
-    out = (u @ moved.reshape(u.shape[1], -1)).reshape(shape)
-    return np.moveaxis(out, range(len(axes)), axes)
+    moved = amps.transpose(_block_order(amps.ndim, axes))
+    return moved.reshape(math.prod(amps.shape[a] for a in axes), -1)
+
+
+def on_axes(amps: np.ndarray, axes, fn) -> np.ndarray:
+    """``fn`` of ``as_matrix(amps, axes)``, a matrix of the same shape, put back in layout order."""
+    axes = list(axes)
+    order = _block_order(amps.ndim, axes)
+    out = fn(as_matrix(amps, axes)).reshape([amps.shape[a] for a in order])
+    return out.transpose(np.argsort(order))
+
+
+def apply_matrix(amps: np.ndarray, u: np.ndarray, axes) -> np.ndarray:
+    """Contract ``u`` with the joint index of ``axes`` (the first slowest) of a
+    dense amplitude array.  ``u`` is used as given; callers check unitarity."""
+    return on_axes(amps, axes, lambda block: u @ block)
 
 
 @dataclass
@@ -302,10 +323,7 @@ class QuantumState:
         """Marginal Born probabilities of one register in its stored basis."""
         if name in self.fixed:
             raise LayoutError(f"register {name!r} was truncated; its value is fixed")
-        ax = self.layout.axis(name)
-        p = np.abs(self.amps) ** 2
-        axes = tuple(i for i in range(p.ndim) if i != ax)
-        probs = p.sum(axis=axes)
+        probs = self.marginal([name])
         total = probs.sum()
         if total <= 0:
             raise ZeroProbabilityError("state has zero norm")
@@ -313,37 +331,34 @@ class QuantumState:
 
     # -- evolution -----------------------------------------------------
 
-    def apply_unitary(self, u, targets) -> "QuantumState":
-        """Apply ``u`` to the joint index of ``targets``, the first slowest; only a
-        ``CheckedOp`` skips ``as_unitary`` (its size is still tested)."""
+    def _target_axes(self, targets, action: str) -> tuple[list[int], int]:
+        """The axes of live ``targets`` and their joint dimension; a frozen one is a LayoutError."""
         targets = list(targets)
         for t in targets:
             if t in self.fixed:
-                raise LayoutError(f"cannot apply a matrix to truncated register {t!r}")
+                raise LayoutError(f"cannot {action} truncated register {t!r}")
         axes = [self.layout.axis(t) for t in targets]
-        dims = [self.layout.dims[a] for a in axes]
-        block = math.prod(dims)
+        return axes, math.prod(self.layout.dims[a] for a in axes)
+
+    def apply_unitary(self, u, targets) -> "QuantumState":
+        """Apply ``u`` to the joint index of ``targets``, the first slowest; only a
+        ``CheckedOp`` skips ``as_unitary`` (its size is still tested)."""
+        axes, block = self._target_axes(targets, "apply a matrix to")
         out = apply_matrix(self.amps, _op_array(u, "matrix", block, as_unitary), axes)
         return QuantumState(self.layout, out, dict(self.fixed))
 
     def permute_basis(self, perm, targets) -> "QuantumState":
         """Relabel joint basis states of ``targets``: |j> -> |perm[j]>; only a
         ``CheckedOp`` skips ``as_permutation`` (its size is still tested)."""
-        targets = list(targets)
-        for t in targets:
-            if t in self.fixed:
-                raise LayoutError(f"cannot permute truncated register {t!r}")
-        axes = [self.layout.axis(t) for t in targets]
-        dims = [self.layout.dims[a] for a in axes]
-        block = math.prod(dims)
+        axes, block = self._target_axes(targets, "permute")
         perm = _op_array(perm, "perm", block, as_permutation)
-        moved = np.moveaxis(self.amps, axes, range(len(axes)))
-        shape = moved.shape
-        flat = moved.reshape(block, -1)
-        out = np.empty_like(flat)
-        out[perm] = flat
-        out = np.moveaxis(out.reshape(shape), range(len(axes)), axes)
-        return QuantumState(self.layout, out, dict(self.fixed))
+
+        def relabel(flat: np.ndarray) -> np.ndarray:
+            out = np.empty_like(flat)
+            out[perm] = flat
+            return out
+
+        return QuantumState(self.layout, on_axes(self.amps, axes, relabel), dict(self.fixed))
 
     # -- measurement ---------------------------------------------------
 
@@ -396,8 +411,7 @@ class QuantumState:
             raise DimensionMismatchError("attached vector must be normalized")
         layout = self.layout.insert_before_oracle(reg)
         pos = layout.axis(reg.name)
-        amps = np.tensordot(self.amps, v, axes=0)  # appends the new axis last
-        amps = np.moveaxis(amps, -1, pos)
+        amps = np.expand_dims(self.amps, pos) * v.reshape((-1,) + (1,) * (self.amps.ndim - pos))
         return QuantumState(layout, amps, dict(self.fixed))
 
     def attach_fixed(self, name: str, value: int) -> "QuantumState":
@@ -427,9 +441,13 @@ class QuantumState:
 
     def split(self, part) -> np.ndarray:
         """The amplitudes as a (part, rest) matrix; ``part`` lists live registers, slowest first."""
-        axes = [self.layout.axis(n) for n in part]
-        rows = math.prod(self.layout.dims[a] for a in axes)
-        return np.moveaxis(self.amps, axes, range(len(axes))).reshape(rows, -1)
+        return as_matrix(self.amps, [self.layout.axis(n) for n in part])
+
+    def marginal(self, names) -> np.ndarray:
+        """|amps|² summed onto the named live registers, its axes in layout order."""
+        keep = {self.layout.axis(n) for n in names}
+        other = tuple(a for a in range(self.amps.ndim) if a not in keep)
+        return (np.abs(self.amps) ** 2).sum(axis=other)
 
     def partial_trace(self, keep, kept_cap: int = 4096) -> "DensityOperator":
         keep = list(keep)

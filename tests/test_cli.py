@@ -314,9 +314,30 @@ PCC_SUMMARY = json.dumps({"mode": "pcc-search", "config": {"mode": "pcc-search"}
 ATTACK_CONFIG = {"mode": "attack", "protocol": "announced-query"}
 
 
-def damaged(summary, hit=None, match="summary.json", id=None):
-    """A replay case: summary.json text, optional pcc_hit.json text, expected message."""
-    return pytest.param(summary, hit, match, id=id or summary)
+NOT_UTF8 = b"{\"mode\": \"attack\xff\"}"
+DIRECTORY = object()  # a file's content: make a directory in its place
+
+
+def put(path, content):
+    """Write text or bytes at ``path``, or make a directory there for ``DIRECTORY``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if content is DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
+def damaged(summary, hit=None, match="summary.json", id=None, files=None):
+    """A replay case: summary.json content, the files beside it (optional pcc_hit.json
+    content, or ``files`` by relative path) and the expected message."""
+    files = files or ({} if hit is None else {"dumps/pcc_hit.json": hit})
+    return pytest.param(summary, files, match, id=id or summary)
+
+
+ATTACK_SWEEP = json.dumps({"mode": "attack", "config": ATTACK_CONFIG,
+                           "sweeps": [{"eps": 0.05, "csv": "trials_eps0.csv"}]})
 
 
 def damaged_state(name, error, amps=((0, 1.0),), dim=2, fixed=None, group=(2,), delta=0.5, d=2,
@@ -350,7 +371,7 @@ def mistyped_hit(delta, d, read_delta=1.0, read_d=2):
     return damaged(PCC_SUMMARY, hit, "pcc_hit.json", id=f"hit-delta-{delta!r}-d-{d!r}")
 
 
-@pytest.mark.parametrize("summary,hit,match", [
+@pytest.mark.parametrize("summary,files,match", [
     damaged("{not json"),
     damaged(json.dumps({"config": {"mode": "attack"}})),
     damaged(json.dumps({"mode": "attack"})),
@@ -391,12 +412,22 @@ def mistyped_hit(delta, d, read_delta=1.0, read_d=2):
     mistyped_hit(1.0, True, read_d=1),
     mistyped_hit("1.0", 2),
     mistyped_hit(True, 2),
+    damaged(DIRECTORY, id="summary-a-directory"),
+    damaged(NOT_UTF8, id="summary-not-utf8"),
+    damaged(PCC_SUMMARY, DIRECTORY, "pcc_hit.json", id="hit-a-directory"),
+    damaged(ATTACK_SWEEP, match="trials_eps0.csv", files={"trials_eps0.csv": DIRECTORY},
+            id="csv-a-directory"),
+    damaged(ATTACK_SWEEP, match="trials_eps0.csv", files={"trials_eps0.csv": b"trial\n0\xff\n"},
+            id="csv-not-utf8"),
+    damaged(ATTACK_SWEEP, match="trial0_eps0.json", id="attack-dump-a-directory",
+            files={"trials_eps0.csv": "trial\n0\n", "dumps/trial0_eps0.json": DIRECTORY}),
+    damaged(ATTACK_SWEEP, match="trial0_eps0.json", id="attack-dump-not-utf8",
+            files={"trials_eps0.csv": "trial\n0\n", "dumps/trial0_eps0.json": NOT_UTF8}),
 ])
-def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary, hit, match):
-    (tmp_path / "summary.json").write_text(summary)
-    if hit is not None:
-        (tmp_path / "dumps").mkdir()
-        (tmp_path / "dumps" / "pcc_hit.json").write_text(hit)
+def test_replay_rejects_a_damaged_summary(tmp_path, capsys, summary, files, match):
+    put(tmp_path / "summary.json", summary)
+    for name, content in files.items():
+        put(tmp_path / name, content)
     with pytest.raises(ConfigError, match=match):
         cli.replay(0, tmp_path)
     assert cli.main(["replay", "0", str(tmp_path)]) == 2
@@ -582,6 +613,24 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
 
     assert cli.main(["describe", "announced-query", "--n", "4"]) == 0
     assert cli.main(["replay", "0", str(tmp_path / "void")]) == 2
+
+    # unreadable files: a directory, bytes that are not UTF-8, text that is not JSON
+    unreadable = {"dir": DIRECTORY, "bytes.json": NOT_UTF8, "text.json": "{oops"}
+    for name, content in unreadable.items():
+        put(tmp_path / "unreadable" / name, content)
+    for name in ("dir", "bytes.json"):
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(tmp_path / "unreadable" / name)]) == 2
+        assert f"config error: {tmp_path / 'unreadable' / name}" in capsys.readouterr().err
+    for name in unreadable:
+        path = str(tmp_path / "unreadable" / name)
+        cfg_path.write_text(json.dumps({"mode": "attack", "protocol": path, "trials": 1,
+                                        "out_dir": str(tmp_path / "out2")}))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert cli.main(["describe", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: protocol does not resolve: {path}") == 2
+    assert not (tmp_path / "out2").exists()
 
 
 @pytest.mark.parametrize("key,value", [

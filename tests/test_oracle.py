@@ -350,19 +350,37 @@ def test_untouched_cells_read_as_the_flat_state():
     assert computational_support(projected) == {t for t in every_table if t[2] == 1}
 
 
+def test_readers_follow_the_layout_when_cells_are_out_of_domain_order():
+    """A loaded layout may list its cells in any order; every reader names them."""
+    g = GroupSpec((3,))
+    spec = OracleSpec(3, g)
+    amps = np.zeros((3, 3, 3, 3), dtype=np.complex128)
+    amps[0, 1, 2, 0] = 1.0  # the one table (1, 2, 0), in the computational basis
+    s = QuantumState(RegisterLayout([Register("Yw", 3)] + spec.registers(), spec), amps)
+    for cell in spec.cell_names():
+        s = s.apply_unitary(g.fourier_matrix.conj().T, [cell])
+    backwards = QuantumState(s.layout.with_registers(
+        [s.layout.register(n) for n in ("Yw", "H2", "H1", "H0")]), s.amps.transpose(0, 3, 2, 1))
+    assert computational_support(s) == computational_support(backwards) == {(1, 2, 0)}
+    assert np.allclose(all_weights(backwards), all_weights(s), rtol=0, atol=1e-12)
+    assert fourier_support_size(backwards) == fourier_support_size(s)
+
+
 # -- fused kernels against the per-cell formula and the three-step route --
 
 GROUPS = [(2,), (3,), (2, 2)]
 
 
-def random_oracle_state(group_factors, domain_size, x_dim, seed, learned):
-    """Random normalized state over (X, Yw, cells), with ``learned`` cells collapsed.
+def random_oracle_state(group_factors, domain_size, x_dim, seed, learned, x_first=True):
+    """Random normalized state over (X, Yw, cells), or (Yw, X, cells) unless
+    ``x_first``, with ``learned`` cells collapsed.
 
     Every basis state carries mass, so each projection has a nonzero branch.
     """
     g = GroupSpec(group_factors)
     spec = OracleSpec(domain_size, g)
-    base = dense_purified(spec, [Register("X", x_dim), Register("Yw", g.order)])
+    work = [Register("X", x_dim), Register("Yw", g.order)]
+    base = dense_purified(spec, work if x_first else work[::-1])
     rng = np.random.default_rng(seed)
     v = rng.normal(size=base.layout.total_dim) + 1j * rng.normal(size=base.layout.total_dim)
     s = QuantumState.from_vector(base.layout, v / np.linalg.norm(v))
@@ -373,13 +391,14 @@ def random_oracle_state(group_factors, domain_size, x_dim, seed, learned):
 
 @st.composite
 def oracle_states(draw):
-    """Groups Z2, Z3 and Z2xZ2; any subset of the cells learned; X reaches a prefix."""
+    """Groups Z2, Z3 and Z2xZ2; any subset of the cells learned; X reaches a
+    prefix and sits before or after Yw."""
     factors = draw(st.sampled_from(GROUPS))
     n = draw(st.integers(2, 3))
     x_dim = draw(st.integers(2, n))
     learned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     seed = draw(st.integers(0, 2**32 - 1))
-    return random_oracle_state(factors, n, x_dim, seed, learned)
+    return random_oracle_state(factors, n, x_dim, seed, learned, draw(st.booleans()))
 
 
 def reference_weight(state, x):

@@ -339,6 +339,37 @@ def test_ensemble_registers_split_the_message():
         proto.run_concrete(unmeasured, (1, 0), seed=3, honest=False)
 
 
+def ensembles_by_assignment(p, table):
+    """Bob's message ensemble in every branch and key value, each component keyed by
+    its ensemble registers' values by name, so declaration order cannot show."""
+    out = {}
+    for branch in proto.enumerate_branches(p, table):
+        kb_probs = branch.state.probabilities(p.key_reg_b)
+        for k_B in np.flatnonzero(kb_probs > 1e-12):
+            state, _ = branch.state.collapse_register(p.key_reg_b, int(k_B))
+            for c in proto.message_ensemble(state, p):
+                key = (branch.transcript, int(k_B), frozenset(zip(p.ensemble_regs, c.values)))
+                out[key] = c
+    return out
+
+
+@pytest.mark.parametrize("name,order", [
+    ("announced-query", ("T1", "YA", "KA", "KB", "M", "YB")),
+    ("trivial-last-message", ("YA", "KA", "YB", "EB", "KB", "M")),
+    ("trivial-last-message", ("M", "KB", "YB", "KA", "EB", "YA")),
+], ids=["ensemble-after-M", "ensemble-swapped", "reversed"])
+@pytest.mark.parametrize("table", [None, (1, 0, 1, 1)], ids=["purified", "concrete"])
+def test_message_ensemble_does_not_depend_on_declaration_order(name, order, table):
+    p = zoo.standard_zoo(4)[name]
+    by_name = {r.name: r for r in p.registers}
+    reordered = dataclasses.replace(p, registers=tuple(by_name[n] for n in order))
+    want, got = ensembles_by_assignment(p, table), ensembles_by_assignment(reordered, table)
+    assert want and got.keys() == want.keys()
+    for key, c in want.items():
+        assert got[key].weight == pytest.approx(c.weight, rel=0, abs=1e-12)
+        assert np.allclose(got[key].vector, c.vector, rtol=0, atol=1e-12)
+
+
 def test_alice_final_accepts_honest_and_rejects_flipped_message():
     p = tiny_protocol()
     for table in all_tables():

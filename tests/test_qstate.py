@@ -290,3 +290,86 @@ def test_load_rejects_a_mistyped_group_factor(group):
     data["layout"]["group"] = group
     with pytest.raises(LayoutError, match="group"):
         QuantumState.load(data)
+
+
+# -- kernels against loop-built references, for targets in any order --------
+
+
+@st.composite
+def three_register_states(draw):
+    """A random state on registers a, b, c of dims 2-3, and targets: any nonempty
+    subset in any order (one, all, reversed, non-contiguous)."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=3, max_size=3))
+    layout = RegisterLayout([Register(n, d) for n, d in zip("abc", dims)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    targets = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    return QuantumState.from_vector(layout, v / np.linalg.norm(v)), targets, rng
+
+
+def joint(index, names, layout):
+    """The joint index of ``names``' values in a full basis index, the first slowest."""
+    return int(np.ravel_multi_index([index[layout.axis(n)] for n in names],
+                                    [layout.dim(n) for n in names]))
+
+
+def rest_of(names, layout):
+    return [n for n in layout.names if n not in names]
+
+
+def full_space_operator(u, targets, layout):
+    """``u`` on the joint index of ``targets`` and the identity elsewhere, one entry at a time."""
+    basis = list(np.ndindex(*layout.dims))
+    rest = rest_of(targets, layout)
+    full = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    for i, out in enumerate(basis):
+        for j, inp in enumerate(basis):
+            if all(out[layout.axis(n)] == inp[layout.axis(n)] for n in rest):
+                full[i, j] = u[joint(out, targets, layout), joint(inp, targets, layout)]
+    return full
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_register_states())
+def test_kernels_match_loop_built_references_for_any_target_order(drawn):
+    state, targets, rng = drawn
+    layout = state.layout
+    block = int(np.prod([layout.dim(t) for t in targets]))
+    u = random_unitary(rng, block)
+    expect = full_space_operator(u, targets, layout) @ state.amps.reshape(-1)
+    got = state.apply_unitary(u, targets)
+    assert got.amps.shape == layout.dims
+    assert np.allclose(got.amps.reshape(-1), expect, rtol=0, atol=1e-12)
+
+    perm = rng.permutation(block)
+    matrix = np.zeros((block, block))
+    matrix[perm, np.arange(block)] = 1.0
+    assert np.array_equal(state.permute_basis(perm, targets).amps,
+                          state.apply_unitary(matrix, targets).amps)
+
+    rest = rest_of(targets, layout)
+    split = np.zeros((block, state.amps.size // block), dtype=np.complex128)
+    for index in np.ndindex(*layout.dims):
+        split[joint(index, targets, layout), joint(index, rest, layout)] = state.amps[index]
+    assert np.array_equal(state.split(targets), split)
+
+    kept = sorted(targets, key=layout.axis)  # the marginal's axes are in layout order
+    marginal = np.zeros([layout.dim(n) for n in kept])
+    for index in np.ndindex(*layout.dims):
+        marginal[tuple(index[layout.axis(n)] for n in kept)] += abs(state.amps[index]) ** 2
+    assert np.allclose(state.marginal(targets), marginal, rtol=0, atol=1e-12)
+
+
+def test_the_marginal_of_a_zero_register_state_is_its_one_probability():
+    layout = RegisterLayout([], OracleSpec(2, GroupSpec((2,))))
+    state = QuantumState(layout, np.array(-0.6 + 0.8j))
+    assert state.amps.shape == ()
+    expect = sum(abs(state.amps[index]) ** 2 for index in np.ndindex(*layout.dims))
+    marginal = state.marginal([])
+    assert marginal.shape == () and marginal == pytest.approx(expect, rel=0, abs=1e-15)
+    assert state.split([]).shape == (1, 1)
