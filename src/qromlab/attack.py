@@ -26,7 +26,7 @@ from .errors import DomainError, UnsupportedProtocolError
 from .learner import LearnerOutcome, learn
 from .oracle import all_weights, check_table, fourier_support_size
 from .protocol import KEY_ABORT, Protocol, alice_final, apply_program, deliver, run_concrete
-from .qstate import KIND_MESSAGE, DensityOperator, QuantumState, Register
+from .qstate import DensityOperator, QuantumState, Register
 from .zoo import QpkeScheme, ka_from_qpke
 
 _DEAD_COMPONENT_TOL = 1e-12
@@ -110,7 +110,7 @@ def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
     if post_state.is_fixed(m):
         vec = np.zeros(dim, dtype=np.complex128)
         vec[post_state.fixed[m]] = 1.0
-        return DensityOperator.from_pure([Register(m, dim, KIND_MESSAGE)], vec)
+        return DensityOperator.from_pure([Register(m, dim)], vec)
     undone = apply_program(post_state, p.final_a_program, p.reg_dims(), inverse=True)
     return undone.partial_trace([m])
 
@@ -152,7 +152,7 @@ def _repair(p: Protocol, components, finals, dists, k_E: int):
     else:
         mixed /= mass
     # a convex mix of density matrices is positive semidefinite by construction
-    rho = DensityOperator._positive([Register(m_reg, m_dim, KIND_MESSAGE)], mixed)
+    rho = DensityOperator._positive([Register(m_reg, m_dim)], mixed)
     return eq_simulatedm, rho, posts
 
 

@@ -17,7 +17,7 @@ from .algebra import GroupSpec
 from .errors import DomainError
 from .oracle import OracleSpec
 from .protocol import Gate, Query, apply_program, matrix_gate
-from .qstate import KIND_ORACLE, QuantumState, Register
+from .qstate import QuantumState, Register
 
 X_REG = "X"
 Y_REG = "Yw"
@@ -106,8 +106,8 @@ def run_fixed(spec: OracleSpec, ops, table) -> QuantumState:
 
 def work_distribution(state: QuantumState) -> np.ndarray:
     """Born distribution over the joint non-oracle registers, flattened."""
-    work = [r.name for r in state.layout.registers if r.kind != KIND_ORACLE]
-    return state.marginal(work).reshape(-1)
+    layout = state.layout
+    return state.marginal(layout.names[:len(layout.names) - len(layout.cells)]).reshape(-1)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

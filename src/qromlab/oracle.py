@@ -10,14 +10,15 @@ applying the group's Fourier matrix to that axis.
 The oracle itself, an ``OracleSpec`` (defined beside the layout in
 qstate.py), is described in one place: the state's
 ``RegisterLayout.oracle``.  ``spec_of`` reads it, and every layout a
-kernel derives keeps it.
+kernel derives keeps it.  Every reader below takes the live cells
+from ``RegisterLayout.cells``, kept last and in domain order.
 
 A cell is in one of three states:
 
 - untouched: no query has addressed it, so it is exactly |0̂⟩ and is not
   stored at all (neither in the layout nor in ``fixed``);
 - live: an axis of the dense array, added at |0̂⟩ by the first query that
-  can address it (``add_cells``), in domain order within the cell block;
+  can address it (``add_cells``);
 - frozen: projected onto a computational value and kept in ``fixed``.
 
 Every reader below treats an untouched cell as |0̂⟩: it weighs 0, takes
@@ -57,10 +58,10 @@ from .errors import (
 )
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
-    KIND_ORACLE,
     CheckedOp,
     OracleSpec,
     QuantumState,
+    Register,
     RegisterLayout,
     apply_matrix,
     as_matrix,
@@ -136,14 +137,12 @@ def add_cells(state: QuantumState, xs) -> QuantumState:
     """
     spec = spec_of(state)
     old = state.layout
-    new = {spec.cell_name(x) for x in xs} - set(old.names) - set(state.fixed)
+    new = {int(x) for x in xs if spec.cell_name(x) not in state.fixed} - set(old.cells)
     if not new:
         return state
-    cells = [r for r in spec.registers() if r.name in old or r.name in new]
-    layout = old.with_registers([r for r in old.registers if r.kind != KIND_ORACLE] + cells)
-    amps = np.zeros(layout.dims, dtype=np.complex128)
-    amps[tuple(slice(None) if n in old else 0 for n in layout.names)] = state.amps
-    return QuantumState(layout, amps, dict(state.fixed))
+    cells = [Register(spec.cell_name(x), spec.group.order) for x in sorted(new.union(old.cells))]
+    return state._widened(old.with_registers(old.registers[:len(old.names) - len(old.cells)]
+                                             + tuple(cells)))
 
 
 def check_table(spec: OracleSpec, table) -> tuple[int, ...]:
@@ -284,16 +283,14 @@ def all_weights(state: QuantumState) -> np.ndarray:
     1 - flat mass / total.  Untouched and learned cells weigh 0.
     """
     spec = spec_of(state)
-    points = {name: x for x, name in enumerate(spec.cell_names())}
-    live = [n for n in state.layout.names if n in points]  # the marginal's axes
-    marginal = state.marginal(live)
+    marginal = state.marginal([spec.cell_name(x) for x in state.layout.cells])
     total = float(marginal.sum())
     if total <= 0:
         raise ZeroProbabilityError("state has zero norm")
     weights = np.zeros(spec.domain_size)
-    for cell_ax, name in enumerate(live):
+    for cell_ax, x in enumerate(state.layout.cells):
         flat_mass = float(marginal.take(0, axis=cell_ax).sum())
-        weights[points[name]] = max(0.0, 1.0 - flat_mass / total)
+        weights[x] = max(0.0, 1.0 - flat_mass / total)
     return weights
 
 
@@ -305,12 +302,12 @@ def fourier_support_size(state: QuantumState) -> int:
     Untouched cells are flat everywhere and count for nothing.
     """
     spec = spec_of(state)
-    live = [n for n in spec.cell_names() if n in state.layout]
+    live = [spec.cell_name(x) for x in state.layout.cells]
     if not live:
         return 0
     heavy = np.abs(state.amps) ** 2 > SUPPORT_TOL
     mask = as_matrix(heavy, [state.layout.axis(n) for n in live]).any(axis=1)
-    mask = mask.reshape([state.layout.dim(n) for n in live])
+    mask = mask.reshape((spec.group.order,) * len(live))
     if not mask.any():
         return 0
     counts = (np.indices(mask.shape) != 0).sum(axis=0)  # non-flat cells of each basis state
@@ -365,20 +362,15 @@ def computational_support(state: QuantumState) -> set[tuple[int, ...]]:
         )
     fourier = fourier_op(spec.group)
     state = add_cells(state, range(spec.domain_size))
-    cells = spec.cell_names()
-    # the marginal's axes, in layout order; a fixed table has none and is read off ``fixed``
-    live = [n for n in state.layout.names if n in cells]
+    # the marginal's axes; a fixed table has none and is read off ``fixed``
+    live = [spec.cell_name(x) for x in state.layout.cells]
     rotated = state
     for cell in live:
         rotated = rotated.apply_unitary(fourier, [cell])
     p = rotated.marginal(live)
 
-    support = set()
-    live_points = [int(n[1:]) for n in live]
-    for coords in np.argwhere(p > SUPPORT_TOL):
-        table = [state.fixed.get(n, 0) for n in cells]
-        for point, value in zip(live_points, coords):
-            table[point] = int(value)
-        support.add(tuple(table))
-    return support
+    coords = np.argwhere(p > SUPPORT_TOL)
+    tables = np.tile([state.fixed.get(n, 0) for n in spec.cell_names()], (len(coords), 1))
+    tables[:, list(state.layout.cells)] = coords
+    return set(map(tuple, tables.tolist()))
 

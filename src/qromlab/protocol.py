@@ -48,8 +48,6 @@ from .errors import (DomainError, ProtocolShapeError, QromlabError, UnsupportedP
                      is_int, typed)
 from .qstate import (
     DEFAULT_AMPLITUDE_CAP,
-    KIND_MESSAGE,
-    KIND_WORK,
     UNITARY_TOL,
     CheckedOp,
     DensityOperator,
@@ -711,10 +709,7 @@ class ExecutionTrace:
 
 
 def _initial_state(p: Protocol, table) -> QuantumState:
-    regs = [
-        Register(r.name, r.dim, KIND_MESSAGE if r.role in (ROLE_TRANSCRIPT, ROLE_MESSAGE) else KIND_WORK)
-        for r in p.registers
-    ]
+    regs = [Register(r.name, r.dim) for r in p.registers]
     if table is None:
         return qoracle.init_purified(p.oracle, regs, amplitude_cap=p.amplitude_cap)
     return qoracle.init_table(p.oracle, regs, table, amplitude_cap=p.amplitude_cap)
@@ -950,7 +945,7 @@ def deliver(p: Protocol, state: QuantumState, vector) -> tuple[np.ndarray, Quant
     if len(support) == 1 and not any(_moves(i, dims, {m}) for i in p.final_a_program):
         state = state.attach_fixed(m, int(support[0]))
     else:
-        state = state.attach_register(Register(m, dim, KIND_MESSAGE), vector=vec)
+        state = state.attach_register(Register(m, dim), vector=vec)
     return final_map(p, state)
 
 

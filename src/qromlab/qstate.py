@@ -4,15 +4,15 @@ Amplitudes are stored as a complex128 ndarray shaped by the register
 dimensions in layout order.  Only this module knows that order: callers
 name registers and read or rotate them through the block view
 (``as_matrix``, ``on_axes``, ``QuantumState.split``) or
-``QuantumState.marginal``.  Oracle cells stay last, in domain order,
-because ``insert_before_oracle`` and ``oracle.add_cells`` keep them
-there.  ``collapse_register`` slices out any axis, as a strided view;
-the register lives on in ``fixed`` with the basis value it was frozen at.
+``QuantumState.marginal``.  ``collapse_register`` slices out any axis,
+as a strided view; the register lives on in ``fixed`` with the basis
+value it was frozen at.
 
 A state's oracle is described in one place, ``RegisterLayout.oracle``:
 an ``OracleSpec`` (domain size and range group), or None for a state
 that talks to no oracle.  Every layout derived from another by
-``with_registers`` shares its oracle and its amplitude cap.
+``with_registers`` shares its oracle and its amplitude cap.  A layout fixes
+its cells from its oracle when it is built (``RegisterLayout.cells``).
 
 An oracle cell is in one of three states: untouched (in neither the
 layout nor ``fixed``, and implicitly the flat Fourier state |0̂⟩), live
@@ -54,25 +54,17 @@ UNITARY_TOL = 1e-10
 ZERO_PROB_TOL = 1e-12
 DUMP_AMP_TOL = 1e-12
 
-KIND_WORK = "work"
-KIND_ORACLE = "oracle"
-KIND_MESSAGE = "message"
-_KINDS = (KIND_WORK, KIND_ORACLE, KIND_MESSAGE)
-
 
 @dataclass(frozen=True)
 class Register:
     name: str
     dim: int
-    kind: str = KIND_WORK
 
     def __post_init__(self) -> None:
         if not self.name:
             raise LayoutError("register name must be non-empty")
         if int(self.dim) < 2:
             raise LayoutError(f"register {self.name!r} needs dimension >= 2, got {self.dim}")
-        if self.kind not in _KINDS:
-            raise LayoutError(f"unknown register kind {self.kind!r}")
         object.__setattr__(self, "dim", int(self.dim))
 
 
@@ -87,6 +79,7 @@ class OracleSpec:
         if int(self.domain_size) < 1:
             raise DomainError("oracle domain must have at least one point")
         object.__setattr__(self, "domain_size", int(self.domain_size))
+        object.__setattr__(self, "_points", {f"H{x}": x for x in range(self.domain_size)})
 
     def cell_name(self, x: int) -> str:
         x = int(x)
@@ -95,10 +88,7 @@ class OracleSpec:
         return f"H{x}"
 
     def cell_names(self) -> list[str]:
-        return [f"H{x}" for x in range(self.domain_size)]
-
-    def registers(self) -> list[Register]:
-        return [Register(n, self.group.order, KIND_ORACLE) for n in self.cell_names()]
+        return list(self._points)
 
     def function_count(self) -> int:
         return self.group.order**self.domain_size
@@ -113,9 +103,11 @@ class RegisterLayout:
 
     ``oracle`` describes the oracle's domain and range whatever state its
     cells are in; it is None for a layout without an oracle, and only a
-    layout with an oracle may be empty.  Every field, ``dims`` and
-    ``names`` too, is fixed at construction; ``with_registers`` derives a
-    layout on the same oracle and cap.
+    layout with an oracle may be empty.  A register named ``H{x}``, x in
+    ``oracle``'s domain, is a live cell; ``cells`` lists those x in axis
+    order.  Cells not last, not in domain order or not of dimension |Y|
+    are a LayoutError.  Every field is fixed at construction;
+    ``with_registers`` derives a layout on the same oracle and cap.
     """
 
     def __init__(
@@ -127,21 +119,26 @@ class RegisterLayout:
         registers = tuple(registers)
         if not registers and oracle is None:
             raise LayoutError("zero-register layouts are allowed only with an oracle")
-        names = tuple(r.name for r in registers)
-        if len(set(names)) != len(names):
+        names = tuple([r.name for r in registers])
+        self._index = {n: i for i, n in enumerate(names)}
+        if len(self._index) != len(names):
             raise LayoutError(f"duplicate register names in {list(names)}")
-        seen_oracle = False
-        for r in registers:
-            if r.kind == KIND_ORACLE:
-                seen_oracle = True
-            elif seen_oracle:
-                raise LayoutError("oracle cells must come after all other registers")
+        dims = tuple([r.dim for r in registers])
+        points = [] if oracle is None else [*map(oracle._points.get, names)]
+        first = points.count(None)  # the non-cells, which come first
+        cells = tuple(points[first:])
+        if None in cells:
+            raise LayoutError("oracle cells must come after all other registers")
+        if cells and (list(cells) != sorted(cells)
+                      or dims[first:].count(oracle.group.order) != len(cells)):
+            raise LayoutError(f"oracle cells {names[first:]} must be in domain order, "
+                              f"each of dimension {oracle.group.order}")
         self.registers = registers
         self.oracle = oracle
         self.amplitude_cap = int(amplitude_cap)
         self.names = names
-        self.dims = tuple(r.dim for r in registers)
-        self._index = {n: i for i, n in enumerate(names)}
+        self.dims = dims
+        self.cells = cells
         total = math.prod(self.dims)
         if total > self.amplitude_cap:
             raise CapacityError(
@@ -172,19 +169,13 @@ class RegisterLayout:
         return self.with_registers(r for r in self.registers if r.name != name)
 
     def insert_before_oracle(self, reg: Register) -> "RegisterLayout":
-        """New layout with ``reg`` appended after the last non-oracle register."""
-        pos = len(self.registers)
-        for i, r in enumerate(self.registers):
-            if r.kind == KIND_ORACLE:
-                pos = i
-                break
-        regs = list(self.registers)
-        regs.insert(pos, reg)
-        return self.with_registers(regs)
+        """New layout with ``reg`` appended after the last non-cell register."""
+        pos = len(self.registers) - len(self.cells)
+        return self.with_registers(self.registers[:pos] + (reg,) + self.registers[pos:])
 
     def to_json(self):
         meta = {
-            "registers": [[r.name, r.dim, r.kind] for r in self.registers],
+            "registers": [[r.name, r.dim] for r in self.registers],
             "amplitude_cap": self.amplitude_cap,
         }
         if self.oracle is not None:
@@ -194,16 +185,25 @@ class RegisterLayout:
 
     @classmethod
     def from_json(cls, data) -> "RegisterLayout":
-        regs = [Register(typed(n, str, "register name"), typed(d, int, "register dim"),
-                         typed(k, str, "register kind"))
-                for n, d, k in typed(data["registers"], list, "layout registers")]
+        """Inverse of ``to_json``.  An older dump's ``[name, dim, kind]`` entry loads when
+        its kind agrees with the layout: "oracle" for a cell, "work" or "message" else."""
+        entries = [typed(e, list, "register entry") for e in typed(data["registers"], list,
+                                                                   "layout registers")]
+        if any(len(e) not in (2, 3) for e in entries):
+            raise LayoutError("a register entry is [name, dim] or a legacy [name, dim, kind]")
         group, domain = data.get("group"), data.get("domain_size")
         if (group is None) != (domain is None):
             raise LayoutError("a layout states both the oracle's group and domain_size, or neither")
         oracle = None if group is None else OracleSpec(
             typed(domain, int, "domain_size"), GroupSpec.from_json(group, LayoutError))
-        return cls(regs, oracle, typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int,
-                                       "amplitude_cap"))
+        layout = cls([Register(typed(e[0], str, "register name"), typed(e[1], int, "register dim"))
+                      for e in entries], oracle,
+                     typed(data.get("amplitude_cap", DEFAULT_AMPLITUDE_CAP), int, "amplitude_cap"))
+        first = len(entries) - len(layout.cells)
+        if any(len(e) == 3 and typed(e[2], str, "register kind") not in
+               (("oracle",) if i >= first else ("work", "message")) for i, e in enumerate(entries)):
+            raise LayoutError("a stated register kind disagrees with the layout's cells")
+        return layout
 
 
 def as_unitary(u, dim: int) -> np.ndarray:
@@ -414,6 +414,12 @@ class QuantumState:
         amps = np.expand_dims(self.amps, pos) * v.reshape((-1,) + (1,) * (self.amps.ndim - pos))
         return QuantumState(layout, amps, dict(self.fixed))
 
+    def _widened(self, layout: RegisterLayout) -> "QuantumState":
+        """This state on ``layout``, its registers in their order plus new ones at |0>."""
+        amps = np.zeros(layout.dims, dtype=np.complex128)
+        amps[tuple(slice(None) if n in self.layout else 0 for n in layout.names)] = self.amps
+        return QuantumState(layout, amps, dict(self.fixed))
+
     def attach_fixed(self, name: str, value: int) -> "QuantumState":
         """Record a register that exists only as a frozen classical value."""
         if name in self.layout or name in self.fixed:
@@ -433,8 +439,7 @@ class QuantumState:
             return QuantumState(self.layout, self.amps, fixed)
         ax = self.layout.axis(old)
         regs = list(self.layout.registers)
-        r = regs[ax]
-        regs[ax] = Register(new, r.dim, r.kind)
+        regs[ax] = Register(new, regs[ax].dim)
         return QuantumState(self.layout.with_registers(regs), self.amps, dict(self.fixed))
 
     # -- reductions ----------------------------------------------------
@@ -481,8 +486,9 @@ class QuantumState:
 
     @classmethod
     def load(cls, data) -> "QuantumState":
-        """Inverse of ``dump``.  A mistyped field is a LayoutError; an index outside
-        the layout, a repeated index or a norm off 1 by over 1e-9 a DimensionMismatchError."""
+        """Inverse of ``dump``.  A mistyped field, a register both live and frozen or a frozen
+        value outside its cell's range (or negative) is a LayoutError; an index outside the
+        layout, a repeated index or a norm off 1 by over 1e-9 a DimensionMismatchError."""
         layout = RegisterLayout.from_json(data["layout"])
         entries = typed(data["amps"], list, "dump amps")
         amps = {typed(e["basis_index"], int, "basis_index"):
@@ -493,6 +499,11 @@ class QuantumState:
         flat[list(amps)] = list(amps.values())
         fixed = {typed(k, str, "fixed name"): typed(v, int, "fixed value")
                  for k, v in typed(data.get("fixed", {}), dict, "dump fixed").items()}
+        spec = layout.oracle
+        for name, value in fixed.items():
+            if name in layout or value < 0 or (spec and name in spec._points
+                                                and value >= spec.group.order):
+                raise LayoutError(f"frozen {name}={value} is live too or outside its range")
         return cls.from_vector(layout, flat, fixed)
 
 

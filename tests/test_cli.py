@@ -290,9 +290,25 @@ def test_guess_only_dumps_replay_through_main(tmp_path, capsys):
     lambda d: d.update(d=2.7),
     lambda d: d.update(d=True),
     lambda d: d.update(delta="0.5"),
+    # the simulated state holds no live cell, H2 frozen at 1, and T1 frozen
+    lambda d: d["simulated_state"]["fixed"].update(H3=5),
+    lambda d: d["simulated_state"]["fixed"].update(H3=-1),
+    lambda d: d["simulated_state"]["fixed"].update(H2=5),
+    lambda d: d["simulated_state"]["fixed"].update(YA=0),
+    lambda d: d["simulated_state"]["layout"]["registers"].__setitem__(-1, ["M", 2, "oracle"]),
+    lambda d: d["simulated_state"]["layout"]["registers"].append(["H3", 2, "work"]),
+    lambda d: d["simulated_state"]["layout"]["registers"].append(["H3", 3]),
+    lambda d: d["simulated_state"]["layout"]["registers"].extend([["H3", 2], ["H0", 2]]),
+    lambda d: d["simulated_state"]["layout"]["registers"].insert(0, ["H3", 2]),
+    lambda d: d["simulated_state"]["layout"]["registers"].__setitem__(0, ["YA"]),
+    lambda d: d["simulated_state"]["layout"]["registers"].__setitem__(0, ["YA", 2, "work", 0]),
 ], ids=["no-simulated_state", "no-transcript", "transcript-text", "delta-text", "d-null",
         "protocol-number", "table-text", "register-dim-text", "table-fraction",
-        "transcript-fraction", "transcript-bool", "d-fraction", "d-bool", "delta-numeral"])
+        "transcript-fraction", "transcript-bool", "d-fraction", "d-bool", "delta-numeral",
+        "untouched-cell-past-range", "untouched-cell-negative", "frozen-cell-past-range",
+        "live-and-frozen", "kind-oracle-on-a-work-register", "kind-work-on-a-cell",
+        "cell-dim-not-the-range", "cells-out-of-domain-order", "cell-before-work",
+        "entry-of-one", "entry-of-four"])
 def test_check_attack_dump_turns_a_damaged_dump_into_an_error(tmp_path, damage):
     proto_path = tmp_path / "flipped.json"
     proto_path.write_text(json.dumps(broken_announced().to_json()))
@@ -405,6 +421,18 @@ def mistyped_hit(delta, d, read_delta=1.0, read_d=2):
     damaged_state("cap-below-size", "CapacityError", amplitude_cap=1),
     damaged_state("without-oracle", "LayoutError", group=None, domain_size=None),
     damaged_state("on-another-oracle", "DomainError", dim=3, group=(3,)),
+    damaged_state("frozen-cell-past-range", "LayoutError", domain_size=2, fixed={"H1": 2}),
+    damaged_state("frozen-cell-negative", "LayoutError", domain_size=2, fixed={"H1": -1}),
+    damaged_state("live-and-frozen", "LayoutError", fixed={"H0": 0}),
+    damaged_state("kind-work-on-a-cell", "LayoutError", registers=[["H0", 2, "work"]]),
+    damaged_state("kind-oracle-on-a-work-register", "LayoutError",
+                  registers=[["w", 2, "oracle"]]),
+    damaged_state("cell-dim-not-the-range", "LayoutError", dim=4),
+    damaged_state("cells-out-of-domain-order", "LayoutError", domain_size=2,
+                  registers=[["H1", 2], ["H0", 2]]),
+    damaged_state("cell-before-work", "LayoutError", registers=[["H0", 2], ["w", 2]]),
+    damaged_state("entry-of-one", "LayoutError", registers=[["H0"]]),
+    damaged_state("entry-of-four", "LayoutError", registers=[["H0", 2, "oracle", 0]]),
     damaged_state("beside-delta-2", "DomainError", delta=2.0),
     damaged_state("beside-negative-d", "DomainError", d=-1),
     mistyped_hit(1.0, 2.7),

@@ -10,7 +10,7 @@ from qromlab.algebra import cyclic
 from qromlab.errors import DomainError, ZeroProbabilityError
 from qromlab.learner import LearnerOutcome, find_heavy, learn
 from qromlab.oracle import OracleSpec, init_purified, oracle_query
-from qromlab.qstate import KIND_WORK, Register
+from qromlab.qstate import Register
 
 Z2 = cyclic(2)
 
@@ -18,7 +18,7 @@ Z2 = cyclic(2)
 def state_with_two_heavy_cells():
     """Cell 2 at weight exactly 1/2, cell 5 at weight 1."""
     spec = OracleSpec(6, Z2)
-    regs = [Register("y1", 2, KIND_WORK), Register("y2", 2, KIND_WORK)]
+    regs = [Register("y1", 2), Register("y2", 2)]
     state = init_purified(spec, regs)
     state = oracle_query(state, "y1", x_const=2)
     # put y2 into the shift-by-1 eigenstate before querying cell 5
@@ -38,7 +38,7 @@ def test_find_heavy_takes_smallest_then_respects_exclude():
 
 def test_find_heavy_on_fresh_oracle_is_none():
     spec = OracleSpec(4, Z2)
-    state = init_purified(spec, [Register("y", 2, KIND_WORK)])
+    state = init_purified(spec, [Register("y", 2)])
     assert find_heavy(state, 0.01) is None
     with pytest.raises(DomainError):
         find_heavy(state, 0.0)

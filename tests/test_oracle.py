@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import qromlab
 from qromlab import circuits, protocol, qstate, zoo
 from qromlab.algebra import GroupSpec
-from qromlab.errors import DimensionMismatchError, ZeroProbabilityError
+from qromlab.errors import DimensionMismatchError, LayoutError, ZeroProbabilityError
 from qromlab.oracle import (
     OracleSpec,
     PartialOracle,
@@ -47,17 +47,17 @@ def full(state):
 
 def dense_purified(spec, work_registers):
     """The uniform oracle on the explicit all-cells layout: every cell an axis at |0̂⟩."""
-    layout = RegisterLayout(list(work_registers) + spec.registers(), spec)
+    cells = [Register(n, spec.group.order) for n in spec.cell_names()]
+    layout = RegisterLayout(list(work_registers) + cells, spec)
     return QuantumState.zero(layout)
 
 
 def to_computational(state):
     """Rotate every live oracle cell to the computational basis."""
-    f = state.layout.oracle.group.fourier_matrix
+    spec = state.layout.oracle
     out = state
-    for reg in state.layout.registers:
-        if reg.kind == "oracle":
-            out = out.apply_unitary(f, [reg.name])
+    for x in state.layout.cells:
+        out = out.apply_unitary(spec.group.fourier_matrix, [spec.cell_name(x)])
     return out
 
 
@@ -350,20 +350,38 @@ def test_untouched_cells_read_as_the_flat_state():
     assert computational_support(projected) == {t for t in every_table if t[2] == 1}
 
 
-def test_readers_follow_the_layout_when_cells_are_out_of_domain_order():
-    """A loaded layout may list its cells in any order; every reader names them."""
-    g = GroupSpec((3,))
-    spec = OracleSpec(3, g)
-    amps = np.zeros((3, 3, 3, 3), dtype=np.complex128)
-    amps[0, 1, 2, 0] = 1.0  # the one table (1, 2, 0), in the computational basis
-    s = QuantumState(RegisterLayout([Register("Yw", 3)] + spec.registers(), spec), amps)
-    for cell in spec.cell_names():
-        s = s.apply_unitary(g.fourier_matrix.conj().T, [cell])
-    backwards = QuantumState(s.layout.with_registers(
-        [s.layout.register(n) for n in ("Yw", "H2", "H1", "H0")]), s.amps.transpose(0, 3, 2, 1))
-    assert computational_support(s) == computational_support(backwards) == {(1, 2, 0)}
-    assert np.allclose(all_weights(backwards), all_weights(s), rtol=0, atol=1e-12)
-    assert fourier_support_size(backwards) == fourier_support_size(s)
+def test_cells_out_of_domain_order_are_refused_at_construction_and_load():
+    """No layout holds its cells out of domain order, so no reader has to name them."""
+    spec = OracleSpec(3, GroupSpec((3,)))
+    layout = RegisterLayout([Register(n, 3) for n in ("Yw", "H0", "H1", "H2")], spec)
+    assert layout.cells == (0, 1, 2)
+    with pytest.raises(LayoutError, match="domain order"):
+        layout.with_registers([layout.register(n) for n in ("Yw", "H2", "H1", "H0")])
+    dump = QuantumState.zero(layout).dump()
+    registers = dump["layout"]["registers"]
+    dump["layout"]["registers"] = [registers[i] for i in (0, 3, 2, 1)]
+    with pytest.raises(LayoutError, match="domain order"):
+        QuantumState.load(dump)
+
+
+def test_layout_cells_follow_every_layout_a_kernel_derives():
+    spec = OracleSpec(4, GroupSpec((2,)))
+    s = init_purified(spec, [Register("Yw", 2)]).apply_unitary(spec.group.fourier_matrix, ["Yw"])
+    assert s.layout.cells == ()
+    for x, cells in ((3, (3,)), (0, (0, 3)), (2, (0, 2, 3))):
+        s = oracle_query(s, "Yw", x_const=x)
+        assert s.layout.cells == cells
+    assert s.layout.names == ("Yw", "H0", "H2", "H3")
+    s = s.attach_register(Register("m", 3), np.eye(3)[1])
+    assert s.layout.names == ("Yw", "m", "H0", "H2", "H3")
+    assert s.layout.cells == (0, 2, 3)
+    s = s.rename_register("m", "msg")
+    assert s.layout.names == ("Yw", "msg", "H0", "H2", "H3")
+    assert s.layout.cells == (0, 2, 3)
+    s, _ = s.collapse_register("H2", int(np.argmax(s.probabilities("H2"))))
+    assert s.layout.names == ("Yw", "msg", "H0", "H3")
+    assert s.layout.cells == (0, 3)
+    assert "H2" in s.fixed
 
 
 # -- fused kernels against the per-cell formula and the three-step route --

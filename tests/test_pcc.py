@@ -201,7 +201,7 @@ def test_pin_cell_makes_an_untouched_cell_live():
     spec = OracleSpec(3, Z3)
     pinned = pcc.pin_cell(init_purified(spec, []), spec, 1, 2)
     assert pinned.layout.names == ("H1",)
-    dense = QuantumState.zero(RegisterLayout(spec.registers(), spec))
+    dense = QuantumState.zero(RegisterLayout([Register(n, 3) for n in spec.cell_names()], spec))
     reference = pcc.pin_cell(dense, spec, 1, 2)
     assert np.allclose(add_cells(pinned, range(3)).amps, reference.amps, rtol=0, atol=1e-12)
     assert computational_support(pinned) == {

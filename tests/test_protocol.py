@@ -34,8 +34,6 @@ from qromlab.learner import learn
 from qromlab.oracle import OracleSpec, init_purified, init_table
 from qromlab.qstate import (
     DEFAULT_AMPLITUDE_CAP,
-    KIND_MESSAGE,
-    KIND_WORK,
     QuantumState,
     Register,
     RegisterLayout,
@@ -400,7 +398,7 @@ def test_alice_final_mixes_density_operators():
     rho = 0.5 * np.outer(honest, honest.conj()) + 0.5 * np.outer(flipped, flipped.conj())
     from qromlab.qstate import DensityOperator
 
-    op = DensityOperator([Register("M", 2, KIND_MESSAGE)], rho)
+    op = DensityOperator([Register("M", 2)], rho)
     dist = proto.alice_final(p, trace.alice_state, op)
     assert dist[trace.k_B] == pytest.approx(0.5)
     assert dist[2] == pytest.approx(0.5)
@@ -417,12 +415,12 @@ def test_program_inverse_is_inverse():
     )
     spec = p.oracle
     regs = [
-        Register("T1", 2, KIND_MESSAGE),
-        Register("YA", 2, KIND_WORK),
-        Register("KA", 3, KIND_WORK),
-        Register("YB", 2, KIND_WORK),
-        Register("KB", 2, KIND_WORK),
-        Register("M", 2, KIND_MESSAGE),
+        Register("T1", 2),
+        Register("YA", 2),
+        Register("KA", 3),
+        Register("YB", 2),
+        Register("KB", 2),
+        Register("M", 2),
     ]
     purified = init_purified(spec, regs)
     forward = proto.apply_program(purified, program, p.reg_dims())
@@ -438,7 +436,7 @@ def test_program_inverse_is_inverse():
 
 def test_frozen_register_steers_but_cannot_move():
     p = tiny_protocol()
-    layout = RegisterLayout([Register("KA", 3, KIND_WORK)])
+    layout = RegisterLayout([Register("KA", 3)])
     state = QuantumState.zero(layout).attach_fixed("T1", 1)
 
     bumped = proto.apply_instruction(
@@ -461,12 +459,12 @@ def test_extract_alice_state_demands_product():
     p = tiny_protocol()
     layout = RegisterLayout(
         [
-            Register("T1", 2, KIND_MESSAGE),
-            Register("YA", 2, KIND_WORK),
-            Register("KA", 3, KIND_WORK),
-            Register("YB", 2, KIND_WORK),
-            Register("KB", 2, KIND_WORK),
-            Register("M", 2, KIND_MESSAGE),
+            Register("T1", 2),
+            Register("YA", 2),
+            Register("KA", 3),
+            Register("YB", 2),
+            Register("KB", 2),
+            Register("M", 2),
         ]
     )
     amps = np.zeros(layout.dims, dtype=complex)
@@ -844,7 +842,7 @@ def live_reference(p, state, vector):
     m = p.message_reg()
     if m in state.layout:
         state = state.rename_register(m, m + proto.SIM_MESSAGE_SUFFIX)
-    live = state.attach_register(Register(m, p.register(m).dim, KIND_MESSAGE), vector)
+    live = state.attach_register(Register(m, p.register(m).dim), vector)
     return proto.final_map(p, live)[0]
 
 

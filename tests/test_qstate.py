@@ -25,6 +25,7 @@ from qromlab.qstate import (
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+Z2 = GroupSpec((2,))
 
 
 def two_qubits():
@@ -49,8 +50,8 @@ def test_layout_rejects_duplicates_small_dims_and_cap():
 
 
 def test_oracle_cells_must_come_last():
-    with pytest.raises(LayoutError):
-        RegisterLayout([Register("H0", 2, "oracle"), Register("a", 2)])
+    with pytest.raises(LayoutError, match="after all other registers"):
+        RegisterLayout([Register("H0", 2), Register("a", 2)], OracleSpec(1, Z2))
 
 
 def test_apply_unitary_rejects_non_unitary():
@@ -152,9 +153,7 @@ def test_permute_basis_matches_matrix():
 
 
 def test_attach_register_keeps_oracle_cells_last():
-    layout = RegisterLayout(
-        [Register("a", 2), Register("H0", 2, "oracle")],
-    )
+    layout = RegisterLayout([Register("a", 2), Register("H0", 2)], OracleSpec(1, Z2))
     s = QuantumState.zero(layout)
     s2 = s.attach_register(Register("m", 2), vector=np.array([0, 1.0]))
     assert s2.layout.names == ("a", "m", "H0")
@@ -209,9 +208,7 @@ def test_density_operator_validation_and_overlap():
 
 def test_dump_load_roundtrip():
     rng = np.random.default_rng(5)
-    layout = RegisterLayout(
-        [Register("a", 2), Register("H0", 2, "oracle")],
-    )
+    layout = RegisterLayout([Register("a", 2), Register("H0", 2)], OracleSpec(2, Z2))
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     s = QuantumState.from_vector(layout, v, fixed={"H1": 1})
@@ -227,8 +224,8 @@ def learned_states(draw):
     q = draw(st.sampled_from([2, 3]))
     work_dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
     work = [Register(f"w{i}", d) for i, d in enumerate(work_dims)]
-    cells = [Register(f"H{x}", q, "oracle") for x in range(draw(st.integers(1, 3)))]
-    layout = RegisterLayout(work + cells)
+    cells = [Register(f"H{x}", q) for x in range(draw(st.integers(1, 3)))]
+    layout = RegisterLayout(work + cells, OracleSpec(len(cells), GroupSpec((q,))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
     state = QuantumState.from_vector(layout, v / np.linalg.norm(v))
@@ -245,6 +242,58 @@ def test_dump_load_roundtrip_through_json_text_is_exact(state):
     assert loaded.fixed == state.fixed
     assert loaded.amps.dtype == state.amps.dtype
     assert np.array_equal(loaded.amps, state.amps)
+
+
+# a dump as written while registers carried a kind: work, message or oracle
+LEGACY_DUMP = (
+    '{"layout": {"registers": [["w", 2, "work"], ["M", 2, "message"], ["H1", 2, "oracle"]], '
+    '"amplitude_cap": 64, "group": [2], "domain_size": 2}, "fixed": {"H0": 1, "T": 0}, '
+    '"amps": [{"basis_index": 0, "re": 0.6, "im": 0.0}, {"basis_index": 7, "re": 0.0, "im": -0.8}]}'
+)
+
+
+def test_a_dump_with_register_kinds_loads_and_redumps_without_them():
+    state = QuantumState.load(json.loads(LEGACY_DUMP))
+    expected = np.zeros((2, 2, 2), dtype=np.complex128)
+    expected[0, 0, 0], expected[1, 1, 1] = 0.6, -0.8j
+    assert np.array_equal(state.amps, expected)
+    assert state.fixed == {"H0": 1, "T": 0}
+    assert state.layout.cells == (1,)
+    current = json.loads(LEGACY_DUMP)
+    for entry in current["layout"]["registers"]:
+        entry.pop()
+    assert state.dump() == current
+    again = QuantumState.load(json.loads(json.dumps(state.dump())))
+    assert again.dump() == current
+    assert np.array_equal(again.amps, state.amps) and again.fixed == state.fixed
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: d["layout"]["registers"][1].__setitem__(2, "oracle"),
+    lambda d: d["layout"]["registers"][2].__setitem__(2, "work"),
+    lambda d: d["layout"]["registers"][2].__setitem__(2, "message"),
+    lambda d: d["layout"]["registers"][0].__setitem__(2, "ancilla"),
+    lambda d: d["layout"]["registers"][2].__setitem__(1, 4),
+    lambda d: (d["fixed"].pop("H0"), d["layout"]["registers"].append(["H0", 2])),
+    lambda d: d["layout"].update(registers=[["H1", 2], ["w", 2], ["M", 2]]),
+    lambda d: d["layout"]["registers"].__setitem__(0, ["w"]),
+    lambda d: d["layout"]["registers"].__setitem__(0, ["w", 2, "work", "x"]),
+    lambda d: d["layout"]["registers"].__setitem__(0, "w2"),
+    lambda d: d["fixed"].update(H0=2),
+    lambda d: d["fixed"].update(H0=-1),
+    lambda d: d["fixed"].update(T=-1),
+    lambda d: d["fixed"].update(H1=0),
+    lambda d: d["fixed"].update(w=1),
+], ids=["kind-oracle-on-a-work-register", "kind-work-on-a-cell", "kind-message-on-a-cell",
+        "unknown-kind", "cell-dim-not-the-range", "cells-out-of-domain-order",
+        "cell-before-work", "entry-of-one", "entry-of-four", "entry-not-a-list",
+        "frozen-cell-past-range", "frozen-cell-negative", "frozen-register-negative",
+        "live-and-frozen-cell", "live-and-frozen-register"])
+def test_load_refuses_a_layout_or_frozen_value_its_cells_contradict(damage):
+    dump = json.loads(LEGACY_DUMP)
+    damage(dump)
+    with pytest.raises(LayoutError):
+        QuantumState.load(dump)
 
 
 def test_canonical_phase_pins_largest_entry():
@@ -285,7 +334,7 @@ def test_an_empty_layout_carries_an_oracle():
 
 @pytest.mark.parametrize("group", [[2.9], ["2"], [True], 2])
 def test_load_rejects_a_mistyped_group_factor(group):
-    layout = RegisterLayout([Register("H0", 2, "oracle")], OracleSpec(1, GroupSpec((2,))))
+    layout = RegisterLayout([Register("H0", 2)], OracleSpec(1, GroupSpec((2,))))
     data = QuantumState.zero(layout).dump()
     data["layout"]["group"] = group
     with pytest.raises(LayoutError, match="group"):
