@@ -105,13 +105,13 @@ def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
     adjoints, inverse permutations, inverse query kernels) and everything
     else traced out.
     """
-    m = p.message_reg()
-    dim = p.register(m).dim
+    m = p.message_reg
+    dim = p.reg_dims[m]
     if post_state.is_fixed(m):
         vec = np.zeros(dim, dtype=np.complex128)
         vec[post_state.fixed[m]] = 1.0
         return DensityOperator.from_pure([Register(m, dim)], vec)
-    undone = apply_program(post_state, p.final_a_program, p.reg_dims(), inverse=True)
+    undone = apply_program(post_state, p.final_a_program, p.reg_dims, inverse=True)
     return undone.partial_trace([m])
 
 
@@ -126,8 +126,8 @@ def _repair(p: Protocol, components, finals, dists, k_E: int):
     when nothing survives the projection), and each live component's state
     right after the key projection.
     """
-    m_reg = p.message_reg()
-    m_dim = p.register(m_reg).dim
+    m_reg = p.message_reg
+    m_dim = p.reg_dims[m_reg]
     eq_simulatedm = 1.0
     mixed = np.zeros((m_dim, m_dim), dtype=np.complex128)
     mass = 0.0
@@ -244,15 +244,14 @@ def full_attack(
 
 def _trace_then_uncompute(p: Protocol, post: QuantumState) -> DensityOperator:
     """The other operator order: discard Bob's lab first, then uncompute."""
-    m = p.message_reg()
-    keep = [n for n in p.alice_side() if n in post.layout]
-    keep.append(m)
+    m = p.message_reg
+    keep = [n for n in p.alice_side if n in post.layout] + [m]
     rho = post.partial_trace(keep)
     layout = post.layout.with_registers(rho.registers)
-    acc = np.zeros((p.register(m).dim,) * 2, dtype=np.complex128)
+    acc = np.zeros((p.reg_dims[m],) * 2, dtype=np.complex128)
     for prob, vec in rho.eig_ensemble():
         pure = QuantumState.from_vector(layout, vec, post.fixed)
-        undone = apply_program(pure, p.final_a_program, p.reg_dims(), inverse=True)
+        undone = apply_program(pure, p.final_a_program, p.reg_dims, inverse=True)
         acc += prob * undone.partial_trace([m]).matrix
     return DensityOperator([rho.registers[-1]], acc)
 
@@ -269,7 +268,7 @@ def check_inequalities(p: Protocol, outcome: AttackOutcome, atol: float = 1e-9) 
         raise DomainError("outcome carries no retained states; rerun with keep_states=True")
     art = outcome.artifacts
     comps = art["message_components"]
-    m_reg = p.message_reg()
+    m_reg = p.message_reg
 
     sim = art["simulated_state"]
     w_before = all_weights(sim)

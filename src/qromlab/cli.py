@@ -222,11 +222,11 @@ class ExperimentConfig:
         path = Path(self.protocol)
         if path.suffix == ".json" or path.exists():
             return Protocol.from_json(_read_file(path))
-        builtins = zoo.standard_zoo(self.n, self.group_spec())
-        if self.protocol in builtins:
-            return builtins[self.protocol]
-        known = ", ".join(sorted(builtins))
-        raise ConfigError([f"unknown protocol {self.protocol!r}; builtins: {known}"])
+        build = zoo.BUILTINS.get(self.protocol)
+        if build is None:
+            known = ", ".join(sorted(zoo.BUILTINS))
+            raise ConfigError([f"unknown protocol {self.protocol!r}; builtins: {known}"])
+        return build(self.n, self.group_spec())
 
 
 def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):

@@ -219,6 +219,15 @@ def check_attack_dump(dump: dict) -> dict:
         table = check_table(p.oracle, dump["table"]) if "table" in dump else None
     except (KeyError, TypeError, ValueError) as exc:
         raise QromlabError(f"attack dump is damaged ({type(exc).__name__}: {exc})") from None
+    cells = set(p.oracle.cell_names())
+    for name, dim in zip(sim.layout.names, sim.layout.dims):
+        if name not in cells and p.reg_dims.get(name) != dim:
+            raise QromlabError(f"simulated register {name!r} of dimension {dim} is not a "
+                               "protocol register of that dimension")
+    for name, value in sim.fixed.items():
+        if name not in cells and not value < p.reg_dims.get(name, 0):
+            raise QromlabError(f"simulated frozen {name}={value} is not a value of a protocol "
+                               "register")
     real, _ = run_conditioned(p, transcript)
     report_real = is_goodstate(real, delta, d)
     report_sim = is_goodstate(sim, delta, d)

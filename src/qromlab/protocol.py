@@ -9,10 +9,10 @@ round is a validation violation.  The shape is the one the attack machinery
 expects: classical messages in both directions, then exactly one quantum message
 from Bob to Alice, with Bob's key fixed (frozen) before that message leaves his
 lab and Alice's key produced by a final map on her side plus the received
-message.  What the programs fix is computed, not declared: a round's message
-kind follows from the role of the register it sends, the ensemble registers are
-Bob's other than his key, and the query budget d and the no-final-query flag are
-counted off the programs.
+message.  What the programs fix is computed once, on first read, not declared: a
+round's message kind follows from the role of the register it sends, the ensemble
+registers are Bob's other than his key, and d, the no-final-query flag, where each
+classical message is measured and whether the final map writes M are read off the programs.
 
 Every program, a protocol round and a random circuit alike, is a sequence of the
 two instructions ``Gate`` and ``Query`` with one JSON encoding, and
@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,6 +89,8 @@ class ProtocolRegister:
                 f"register name {self.name!r} collides with oracle cell names"
             )
         object.__setattr__(self, "dim", int(self.dim))
+        if self.dim < 2:
+            raise ProtocolShapeError(f"register {self.name!r} needs dimension >= 2, got {self.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,17 +280,13 @@ class Protocol:
         # Built once here, not lazily: the CLI's pool threads share one protocol.
         object.__setattr__(self, "oracle", OracleSpec(self.domain_size, self.group))
 
-    # -- structure helpers ----------------------------------------------
+    # -- facts the programs fix, each derived on first read ----------------
 
-    def register(self, name: str) -> ProtocolRegister:
-        for r in self.registers:
-            if r.name == name:
-                return r
-        raise ProtocolShapeError(f"protocol has no register {name!r}")
+    @cached_property
+    def reg_dims(self) -> Mapping[str, int]:
+        return MappingProxyType({r.name: r.dim for r in self.registers})
 
-    def reg_dims(self) -> dict[str, int]:
-        return {r.name: r.dim for r in self.registers}
-
+    @cached_property
     def message_reg(self) -> str:
         for r in self.registers:
             if r.role == ROLE_MESSAGE:
@@ -296,37 +296,53 @@ class Protocol:
     def regs_with_role(self, *roles) -> list[str]:
         return [r.name for r in self.registers if r.role in roles]
 
-    def alice_side(self) -> list[str]:
-        return self.regs_with_role(ROLE_ALICE, ROLE_TRANSCRIPT)
+    @cached_property
+    def alice_side(self) -> tuple[str, ...]:
+        return tuple(self.regs_with_role(ROLE_ALICE, ROLE_TRANSCRIPT))
 
     def message_kind(self, step: Step) -> str:
         """"quantum" when the round sends the register of role M, else "classical"."""
         return "quantum" if step.message in self.regs_with_role(ROLE_MESSAGE) else "classical"
 
-    def classical_messages(self) -> list[str]:
-        return [s.message for s in self.rounds if s.message and self.message_kind(s) == "classical"]
+    @cached_property
+    def classical_messages(self) -> tuple[str, ...]:
+        return tuple(s.message for s in self.rounds
+                     if s.message and self.message_kind(s) == "classical")
 
-    def queries_by_party(self) -> dict[str, int]:
-        counts = {"A": 0, "B": 0}
-        for step in self.rounds:
-            counts[step.party] = counts.get(step.party, 0) + query_count(step.program)
-        counts["A"] += query_count(self.final_a_program)
-        return counts
-
-    @property
+    @cached_property
     def query_budget(self) -> int:
         """d: the most oracle queries one honest party makes."""
-        return max(self.queries_by_party().values())
+        counts = {ROLE_ALICE: query_count(self.final_a_program), ROLE_BOB: 0}
+        for step in self.rounds:
+            counts[step.party] = counts.get(step.party, 0) + query_count(step.program)
+        return max(counts.values())
 
-    @property
+    @cached_property
     def alice_no_final_query(self) -> bool:
         """Whether Alice's final map stays off the oracle, as the attack requires."""
         return query_count(self.final_a_program) == 0
 
-    @property
+    @cached_property
     def ensemble_regs(self) -> tuple[str, ...]:
         """Bob's registers other than his key, measured to split his message."""
         return tuple(r for r in self.regs_with_role(ROLE_BOB) if r != self.key_reg_b)
+
+    @cached_property
+    def _measure_points(self) -> tuple[int | None, ...]:
+        """Instructions run before each round's classical message is measured (None: no message)."""
+        return tuple(
+            None if s.message is None or self.message_kind(s) != "classical"
+            else max((i + 1 for i, instr in enumerate(s.program)
+                      if _moves(instr, self.reg_dims, {s.message})), default=0)
+            for s in self.rounds)
+
+    @cached_property
+    def _final_writes_m(self) -> bool:
+        return any(_moves(i, self.reg_dims, {self.message_reg}) for i in self.final_a_program)
+
+    @cached_property
+    def _layout_registers(self) -> tuple[Register, ...]:
+        return tuple(Register(r.name, r.dim) for r in self.registers)
 
     # -- serialization ----------------------------------------------------
 
@@ -463,36 +479,35 @@ def validate(p: Protocol) -> ValidationReport:
     if len(set(names)) != len(names):
         rep.violations.append(f"duplicate register names: {names}")
         return rep
-    dims = p.reg_dims()
+    dims = p.reg_dims
     roles = {r.name: r.role for r in p.registers}
 
-    quantum_msg = [r.name for r in p.registers if r.role == ROLE_MESSAGE]
+    quantum_msg = p.regs_with_role(ROLE_MESSAGE)
     if len(quantum_msg) != 1:
         rep.violations.append(
             f"CC1QM shape: exactly one quantum message register required, got {quantum_msg}"
         )
         return rep
-    m_reg = quantum_msg[0]
 
     if not p.rounds:
         rep.violations.append("CC1QM shape: protocol has no rounds")
         return rep
     if p.rounds[0].party != ROLE_ALICE:
         rep.violations.append("CC1QM shape: the first round must be Alice's")
-    quantum_steps = [i for i, s in enumerate(p.rounds) if s.message == m_reg]
+    quantum_steps = [i for i, s in enumerate(p.rounds) if s.message == p.message_reg]
     if quantum_steps != [len(p.rounds) - 1]:
         rep.violations.append(
             "CC1QM shape: exactly one quantum message allowed, and only as the last round"
         )
     last = p.rounds[-1]
-    if last.party != ROLE_BOB or last.message != m_reg:
+    if last.party != ROLE_BOB or last.message != p.message_reg:
         rep.violations.append(
             "CC1QM shape: the last round must be Bob sending the quantum message register"
         )
 
     seen_msgs = set()
     for i, step in enumerate(p.rounds):
-        announced = step.message is not None and step.message != m_reg
+        announced = step.message is not None and step.message != p.message_reg
         if step.party not in (ROLE_ALICE, ROLE_BOB):
             rep.violations.append(f"round {i}: unknown party {step.party!r}")
             continue
@@ -578,7 +593,7 @@ def _check_program(p, program, where, allowed_roles, dims, roles, rep, announced
                 rep.violations.append(f"{where}: query address {instr.x_const} out of range")
 
 
-def _moves(instr, dims: dict[str, int], regs) -> bool:
+def _moves(instr, dims: Mapping[str, int], regs) -> bool:
     """Whether an instruction can change a register in ``regs``: a query writes
     its output register, a gate any target some image differs in."""
     if isinstance(instr, Query):
@@ -656,7 +671,7 @@ def _restrict(form: ResolvedGate, at: tuple) -> ResolvedGate:
                         tuple(form.targets[i] for i in live), tuple(form.tdims[i] for i in live))
 
 
-def apply_instruction(state: QuantumState, instr, dims: dict[str, int],
+def apply_instruction(state: QuantumState, instr, dims: Mapping[str, int],
                       inverse: bool = False) -> QuantumState:
     """Run one instruction on a state; a query asks the state's own oracle.
 
@@ -709,10 +724,9 @@ class ExecutionTrace:
 
 
 def _initial_state(p: Protocol, table) -> QuantumState:
-    regs = [Register(r.name, r.dim) for r in p.registers]
     if table is None:
-        return qoracle.init_purified(p.oracle, regs, amplitude_cap=p.amplitude_cap)
-    return qoracle.init_table(p.oracle, regs, table, amplitude_cap=p.amplitude_cap)
+        return qoracle.init_purified(p.oracle, p._layout_registers, amplitude_cap=p.amplitude_cap)
+    return qoracle.init_table(p.oracle, p._layout_registers, table, amplitude_cap=p.amplitude_cap)
 
 
 def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -724,8 +738,8 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
 def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]:
     """Walk the rounds, following at each classical message the symbols ``choose`` picks.
 
-    A message is measured right after its round's last write (``_moves``), and
-    the rest of the round runs on each branch with it frozen: measurement
+    A message is measured right after its round's last write (its measurement
+    point), and the rest of the round runs on each branch with it frozen: measurement
     commutes with instructions that only read it.  ``choose(state, message,
     position)`` sees the state at that point and the number of symbols already
     sent.  Returns ``(state, transcript, per-message probabilities)`` for each
@@ -733,18 +747,16 @@ def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]
     (``collapse_register``), and a measured parent state is dropped as soon as
     its branches exist.
     """
-    dims = p.reg_dims()
+    dims = p.reg_dims
     done = []
     todo = [(0, _initial_state(p, table), (), ())]
     while todo:
         first, state, transcript, probs = todo.pop()
         for r in range(first, len(p.rounds)):
-            step = p.rounds[r]
-            if step.message is None or p.message_kind(step) != "classical":
+            step, cut = p.rounds[r], p._measure_points[r]
+            if cut is None:
                 state = apply_program(state, step.program, dims)
                 continue
-            cut = max((i + 1 for i, instr in enumerate(step.program)
-                       if _moves(instr, dims, {step.message})), default=0)
             state = apply_program(state, step.program[:cut], dims)
             # pushed last symbol first, so the first is walked first
             for sym in reversed(choose(state, step.message, len(transcript))):
@@ -774,7 +786,7 @@ def message_ensemble(state: QuantumState, p: Protocol) -> list[EnsembleComponent
     be written so this holds (Bob's registers other than his key must
     purify the message).
     """
-    m_reg = p.message_reg()
+    m_reg = p.message_reg
     ens_dims = [state.layout.dim(r) for r in p.ensemble_regs]
     blocks = state.split([*p.ensemble_regs, m_reg]).reshape(
         math.prod(ens_dims), state.layout.dim(m_reg), -1)
@@ -813,7 +825,7 @@ def final_map(p: Protocol, state: QuantumState) -> tuple[np.ndarray, QuantumStat
     Returns her key distribution over {0, 1, bottom} and the state after
     the map.
     """
-    final = apply_program(state, p.final_a_program, p.reg_dims())
+    final = apply_program(state, p.final_a_program, p.reg_dims)
     probs = final.probabilities(p.key_reg_a)
     dist = np.zeros(3)
     dist[: len(probs)] = probs
@@ -829,7 +841,7 @@ def extract_alice_state(state: QuantumState, p: Protocol) -> QuantumState:
     oracle and frozen registers but Bob's key, so Alice's final map can
     query the table.
     """
-    side = [n for n in p.alice_side() if not state.is_fixed(n)]
+    side = [n for n in p.alice_side if not state.is_fixed(n)]
     vector = _leading_vector(state.split(side), "Alice's conditioned state is not pure")
     layout = state.layout.with_registers(state.layout.register(n) for n in side)
     fixed = {n: v for n, v in state.fixed.items() if n != p.key_reg_b}
@@ -858,7 +870,7 @@ def run_conditioned(p: Protocol, transcript, table=None) -> tuple[QuantumState, 
     if not all(map(is_int, transcript)):
         raise DomainError(f"transcript symbols must be integers, got {transcript!r}")
     transcript = tuple(map(int, transcript))
-    expected = len(p.classical_messages())
+    expected = len(p.classical_messages)
     if len(transcript) != expected:
         raise DomainError(f"transcript has {len(transcript)} symbols, protocol sends {expected}")
     [(state, _, probs)] = _walk(p, table, lambda state, message, k: [transcript[k]])
@@ -933,16 +945,15 @@ def deliver(p: Protocol, state: QuantumState, vector) -> tuple[np.ndarray, Quant
     ``validate`` runs on announced registers); any other vector is attached
     as a live register.
     """
-    m = p.message_reg()
-    dim = p.register(m).dim
+    m = p.message_reg
+    dim = p.reg_dims[m]
     vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != dim or not abs(np.linalg.norm(vec) - 1.0) <= 1e-9:
         raise DomainError(f"message must be a unit vector of length {dim}, got {vec}")
     if m in state.layout or state.is_fixed(m):
         state = state.rename_register(m, m + SIM_MESSAGE_SUFFIX)
     support = np.flatnonzero(np.abs(vec) > _BRANCH_TOL)
-    dims = p.reg_dims()
-    if len(support) == 1 and not any(_moves(i, dims, {m}) for i in p.final_a_program):
+    if len(support) == 1 and not p._final_writes_m:
         state = state.attach_fixed(m, int(support[0]))
     else:
         state = state.attach_register(Register(m, dim), vector=vec)

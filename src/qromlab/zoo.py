@@ -355,13 +355,17 @@ def ka_from_qpke(scheme: QpkeScheme) -> Protocol:
     )
 
 
+# Each builtin protocol's constructor by name, called as build(domain_size, group).
+BUILTINS = {
+    "announced-query": announced_query_protocol,
+    "merkle": merkle_ka_protocol,
+    "trivial-last-message": trivial_last_message_protocol,
+    "constant-key": constant_key_protocol,
+    "ka-from-toy-qpke": lambda domain_size, group: ka_from_qpke(toy_qpke(domain_size, group)),
+}
+
+
 def standard_zoo(domain_size: int = 4, group: GroupSpec | None = None) -> dict[str, Protocol]:
     """The protocols exercised by the exhaustive checks, by name."""
     g = group or cyclic(2)
-    return {
-        "announced-query": announced_query_protocol(domain_size, g),
-        "merkle": merkle_ka_protocol(domain_size, g, puzzle_count=2),
-        "trivial-last-message": trivial_last_message_protocol(domain_size, g),
-        "constant-key": constant_key_protocol(domain_size, g),
-        "ka-from-toy-qpke": ka_from_qpke(toy_qpke(domain_size, g)),
-    }
+    return {name: build(domain_size, g) for name, build in BUILTINS.items()}

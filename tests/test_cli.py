@@ -203,16 +203,27 @@ def test_replay_matches_recorded_rows(tmp_path):
 
 def test_a_run_and_a_replay_build_the_protocol_once(tmp_path, monkeypatch):
     built = []
-    for owner, name in ((cli.zoo, "standard_zoo"), (cli.Protocol, "from_json")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
-                            built.append(name) or real(*a, **k))
+    build = zoo.BUILTINS["announced-query"]
+    monkeypatch.setitem(zoo.BUILTINS, "announced-query",
+                        lambda *a: built.append("announced-query") or build(*a))
+    real = cli.Protocol.from_json
+    monkeypatch.setattr(cli.Protocol, "from_json", lambda data: built.append("from_json")
+                        or real(data))
     cfg = make_config(tmp_path, trials=2)
     cli.run_experiment(cfg)
-    assert built == ["standard_zoo"]
+    assert built == ["announced-query"]
     cli.replay(1, cfg.out_dir)
     # the summary's config carries the protocol's JSON, so replay reads that
-    assert built == ["standard_zoo", "from_json"]
+    assert built == ["announced-query", "from_json"]
+
+
+def test_a_builtin_resolves_where_only_its_own_constructor_accepts_n(tmp_path, capsys):
+    # announced-query refuses n=1; constant-key, which needs no oracle point, does not
+    assert cli.main(["describe", "constant-key", "--n", "1"]) == 0
+    assert "constant-key: domain size 1" in capsys.readouterr().out
+    cfg = make_config(tmp_path, protocol="constant-key", n=1, trials=2)
+    assert cfg.resolve_protocol().domain_size == 1
+    assert cli.run_experiment(cfg)["success_rate"] == 1.0
 
 
 def test_replay_notices_a_tampered_row(tmp_path):
@@ -601,8 +612,10 @@ def test_describe_survives_an_unknown_party(tmp_path, capsys):
 
 @pytest.mark.parametrize("args,problem", [
     (["--group", "a"], "config error: --group"),
-    (["--n", "1"], "config error: protocol does not resolve: domain size"),
-    (["--n", "0"], "config error: protocol does not resolve: domain size"),
+    (["--n", "1"], "config error: protocol does not resolve: puzzle count must be between 2 "
+                   "and the domain size"),
+    (["--n", "0"], "config error: protocol does not resolve: puzzle count must be between 2 "
+                   "and the domain size"),
     (["--group", "1"], "config error: protocol does not resolve: cyclic moduli"),
 ], ids=["group-a", "n-1", "n-0", "group-1"])
 def test_describe_with_a_mistyped_group_is_a_config_error(capsys, args, problem):
@@ -677,6 +690,26 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, key, value):
     cfg_path.write_text(json.dumps(raw))
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_a_register_below_dimension_2_is_a_config_error(tmp_path, capsys, dim):
+    data = zoo.announced_query_protocol(4).to_json()
+    data["registers"].append(["Z", dim, "A"])
+    with pytest.raises(ProtocolShapeError, match="register 'Z' needs dimension >= 2"):
+        Protocol.from_json(data)
+    proto_path = tmp_path / "dim.json"
+    proto_path.write_text(json.dumps(data))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "attack", "protocol": str(proto_path), "n": 4, "trials": 1,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert cli.main(["describe", str(proto_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("protocol does not resolve: register 'Z' needs dimension >= 2") == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -10,7 +10,7 @@ from qromlab import attack as atk
 from qromlab import pcc, zoo
 from qromlab.algebra import cyclic
 from qromlab.circuits import light_random_ops, run_purified
-from qromlab.errors import DomainError
+from qromlab.errors import DomainError, QromlabError
 from qromlab.oracle import (
     OracleSpec,
     add_cells,
@@ -195,6 +195,20 @@ def test_attack_dump_checker_reads_a_dense_dump_like_the_lazy_one(name):
     assert any(c not in sim.layout and c not in sim.fixed for c in ("H0", "H1", "H2", "H3"))
     dense = dict(dump, simulated_state=add_cells(sim, range(4)).dump())
     assert pcc.check_attack_dump(json.loads(json.dumps(dense))) == pcc.check_attack_dump(dump)
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda s: s["layout"]["registers"][2].__setitem__(0, "Q"), "register 'Q' of dimension 2"),
+    (lambda s: s["layout"]["registers"][3].__setitem__(1, 3), "register 'KB' of dimension 3"),
+    (lambda s: s["fixed"].__setitem__("T1", 7), "frozen T1=7"),
+], ids=["unknown-register", "live-dimension", "frozen-range"])
+def test_attack_dump_checker_refuses_a_state_its_protocol_cannot_hold(edit, problem):
+    p = zoo.announced_query_protocol(4)
+    dump = json.loads(json.dumps(attack_dump(p, (1, 0, 1, 1), delta=0.6)))
+    assert [r[0] for r in dump["simulated_state"]["layout"]["registers"][2:4]] == ["YB", "KB"]
+    edit(dump["simulated_state"])
+    with pytest.raises(QromlabError, match=problem):
+        pcc.check_attack_dump(dump)
 
 
 def test_pin_cell_makes_an_untouched_cell_live():

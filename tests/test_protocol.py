@@ -423,14 +423,14 @@ def test_program_inverse_is_inverse():
         Register("M", 2),
     ]
     purified = init_purified(spec, regs)
-    forward = proto.apply_program(purified, program, p.reg_dims())
-    back = proto.apply_program(forward, program, p.reg_dims(), inverse=True)
+    forward = proto.apply_program(purified, program, p.reg_dims)
+    back = proto.apply_program(forward, program, p.reg_dims, inverse=True)
     # the queries made cells 0 and 1 live; the start holds them untouched
     assert np.allclose(back.amps, every_cell(purified).amps, atol=1e-12)
 
     concrete = init_table(spec, regs, (1, 1))
-    forward = proto.apply_program(concrete, program, p.reg_dims())
-    back = proto.apply_program(forward, program, p.reg_dims(), inverse=True)
+    forward = proto.apply_program(concrete, program, p.reg_dims)
+    back = proto.apply_program(forward, program, p.reg_dims, inverse=True)
     assert np.allclose(back.amps, concrete.amps, atol=1e-12)
 
 
@@ -440,17 +440,17 @@ def test_frozen_register_steers_but_cannot_move():
     state = QuantumState.zero(layout).attach_fixed("T1", 1)
 
     bumped = proto.apply_instruction(
-        state, proto.controlled_add_gate("T1", "KA", group=cyclic(3)), p.reg_dims()
+        state, proto.controlled_add_gate("T1", "KA", group=cyclic(3)), p.reg_dims
     )
     # T1 frozen at 1 adds 1 into KA.
     assert np.allclose(bumped.amps, np.array([0, 1, 0], dtype=complex))
 
     with pytest.raises(UnsupportedProtocolError):
         proto.apply_instruction(
-            state, proto.permutation_gate((1, 0), ("T1",)), p.reg_dims()
+            state, proto.permutation_gate((1, 0), ("T1",)), p.reg_dims
         )
     untouched = proto.apply_instruction(
-        state, proto.permutation_gate((0, 1), ("T1",)), p.reg_dims()
+        state, proto.permutation_gate((0, 1), ("T1",)), p.reg_dims
     )
     assert np.allclose(untouched.amps, state.amps)
 
@@ -549,9 +549,9 @@ def test_a_wide_address_register_is_one_error_on_either_oracle():
 def test_alice_final_asks_the_oracle_its_state_carries():
     p = zoo.trivial_last_message_protocol(3)
     assert any(isinstance(i, proto.Query) for i in p.final_a_program)
-    message = np.eye(p.register(p.message_reg()).dim)[1]
+    message = np.eye(p.reg_dims[p.message_reg])[1]
     oracle_less = QuantumState.zero(RegisterLayout(
-        [Register(n, p.register(n).dim) for n in p.alice_side()]))
+        [Register(n, p.reg_dims[n]) for n in p.alice_side]))
     with pytest.raises(QromlabError, match="oracle"):
         proto.alice_final(p, oracle_less, message)
     # the same registers beside a table answer from that table alone
@@ -565,7 +565,7 @@ def test_alice_final_asks_the_oracle_its_state_carries():
 @pytest.mark.parametrize("name", sorted(zoo.standard_zoo(4)))
 def test_every_sent_symbol_is_a_frozen_register(name, group):
     p = zoo.standard_zoo(4, GroupSpec(group))[name]
-    messages = p.classical_messages()
+    messages = p.classical_messages
     branches = proto.enumerate_branches(p)
     assert branches
     for branch in branches:
@@ -736,7 +736,7 @@ def every_cell(state):
 def whole_round_walk(p, table=None):
     """Reference for ``_walk``: every round runs whole, then its message is measured.
     Returns {transcript: (state, probability)} for every symbol of probability >= 1e-12."""
-    dims = p.reg_dims()
+    dims = p.reg_dims
     paths = [(proto._initial_state(p, table), (), 1.0)]
     for step in p.rounds:
         paths = [(proto.apply_program(s, step.program, dims), t, pr) for s, t, pr in paths]
@@ -824,7 +824,7 @@ def test_the_query_after_the_last_write_reads_the_message_frozen(monkeypatch):
 
     monkeypatch.setattr(oracle, "oracle_query", spy)
     proto.run_conditioned(p, (3,))
-    work = math.prod(p.reg_dims().values())
+    work = math.prod(p.reg_dims.values())
     # Alice's round-A query runs on T1's branch alone, a quarter of the work registers
     # with every cell untouched, and stores the one cell T1 = 3 addresses
     assert seen[0] == ("YA", {"T1": 3}, work // 4, work // 4 * p.group.order)
@@ -839,10 +839,10 @@ def hadamard_decode_protocol():
 
 def live_reference(p, state, vector):
     """Alice's key distribution with the message always attached as a live register."""
-    m = p.message_reg()
+    m = p.message_reg
     if m in state.layout:
         state = state.rename_register(m, m + proto.SIM_MESSAGE_SUFFIX)
-    live = state.attach_register(Register(m, p.register(m).dim), vector)
+    live = state.attach_register(Register(m, p.reg_dims[m]), vector)
     return proto.final_map(p, live)[0]
 
 
@@ -852,7 +852,7 @@ def spied_deliveries(monkeypatch):
 
     def spy(p, state, vector):
         dist, final = proto.deliver(p, state, vector)
-        seen.append((final.is_fixed(p.message_reg()), dist, live_reference(p, state, vector)))
+        seen.append((final.is_fixed(p.message_reg), dist, live_reference(p, state, vector)))
         return dist, final
 
     monkeypatch.setattr(atk, "deliver", spy)
@@ -1015,3 +1015,32 @@ def test_a_rejected_restriction_raises_again_on_a_second_call(monkeypatch):
             proto.apply_instruction(state, gate, {"T": 2, "W": 2})
     assert calls == [(0, None)] * 2
     assert list(gate._forms) == [((2, 2), (None, None))]
+
+
+@pytest.mark.parametrize("name", ["announced-query", "merkle", "ka-from-toy-qpke"])
+def test_a_second_attack_on_a_protocol_runs_no_write_test(name, monkeypatch):
+    p = zoo.standard_zoo(4)[name]
+    atk.full_attack(p, 0.05, 0.05, (1, 0, 1, 1), seed=1)
+    calls = []
+    real = proto._moves
+    monkeypatch.setattr(proto, "_moves", lambda *a: calls.append(a) or real(*a))
+    atk.full_attack(p, 0.05, 0.05, (1, 0, 1, 1), seed=1)
+    assert calls == []
+
+
+def test_the_register_map_is_read_only_and_follows_a_replace():
+    p = tiny_protocol()
+    with pytest.raises(TypeError):
+        p.reg_dims["T1"] = 9
+    assert p.reg_dims["T1"] == 2
+    wider = dataclasses.replace(p, registers=tuple(
+        dataclasses.replace(r, dim=4) if r.name == "T1" else r for r in p.registers))
+    assert (wider.reg_dims["T1"], p.reg_dims["T1"]) == (4, 2)
+
+
+def test_a_gate_on_an_unknown_register_is_a_violation_not_a_construction_error():
+    p = tiny_protocol()
+    alice = dataclasses.replace(p.rounds[0], program=p.rounds[0].program + (
+        proto.hadamard_gate("Q"),))
+    rep = proto.validate(dataclasses.replace(p, rounds=(alice, p.rounds[1])))
+    assert rep.violations == ["round 0: unknown register 'Q'"]

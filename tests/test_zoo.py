@@ -83,8 +83,9 @@ def test_announced_query_weights_after_conditioning():
 
 def test_merkle_weights_and_shape():
     p = zoo.merkle_ka_protocol(4, Z2, puzzle_count=2)
-    assert p.classical_messages() == ["T1", "T2"]
-    assert p.queries_by_party() == {"A": 2, "B": 1}
+    assert p.classical_messages == ("T1", "T2")
+    bob_queries = sum(proto.query_count(s.program) for s in p.rounds if s.party == "B")
+    assert (p.query_budget, bob_queries) == (2, 1)  # so Alice makes 2
     state, prob = proto.run_conditioned(p, (1, 0))
     assert prob == pytest.approx(0.25)
     w = all_weights(state)
