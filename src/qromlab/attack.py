@@ -3,12 +3,11 @@
 The attack composes the pieces built elsewhere: run the protocol against a
 fixed table while holding back Bob's quantum message, learn the heavy oracle
 points from the transcript, rebuild Bob's lab inside Eve's simulator, and
-run Alice's final map against the simulated oracle to read off the key.  The
-intercepted message is then repaired (measure, uncompute) and delivered to
-the real Alice.  Every delivery, into Eve's simulator or to the real
-Alice, is ``protocol.deliver``: a basis component that the final map only
-reads is a frozen register, like a sent symbol, so its repair is the
-frozen value itself.
+run Alice's final map against the simulated oracle to read off the key.  Each
+intercepted component is repaired (measure, uncompute) as soon as it is read,
+and the repaired mix goes to the real Alice.  Every delivery is
+``protocol.deliver``: a basis component that the final map only reads is a
+frozen register, like a sent symbol, so its repair is the frozen value itself.
 
 Everything here is exact linear algebra on small dense states, so the
 diagnostics (eq_find, eq_simulatedm, eq_agrees) are computed to numerical
@@ -99,11 +98,9 @@ class AttackOutcome:
 def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
     """Repair the measured message: uncompute the final map, trace to M.
 
-    ``post_state`` is the simulator state right after the key projection.
-    A frozen M (a basis component the final map only reads) comes back as
-    its own value.  A live M has the final map applied in reverse (matrix
-    adjoints, inverse permutations, inverse query kernels) and everything
-    else traced out.
+    ``post_state`` is the simulator state right after the key projection.  A
+    frozen M comes back as its own value; a live one has the final map run in
+    reverse (adjoints, inverse permutations and query kernels) and the rest traced out.
     """
     m = p.message_reg
     dim = p.reg_dims[m]
@@ -115,36 +112,42 @@ def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
     return undone.partial_trace([m])
 
 
-def _repair(p: Protocol, components, finals, dists, k_E: int):
-    """Measure, uncompute and mix: Eve's repaired message over the components.
+def _repair(p: Protocol, state: QuantumState, components, k_E: int | None = None,
+            guess_only: bool = False, inspect=lambda final, post: None):
+    """Eve's one pass over Bob's components, one delivered state at a time.
 
-    ``finals[i]`` and ``dists[i]`` are what ``deliver`` gave for component
-    i: its simulator state after Alice's final map, with M frozen or live,
-    and its key distribution.  Returns ``(eq_simulatedm,
-    rho, posts)``: the worst overlap of a repaired component with the real
-    one, the mix weighted by ``weight * Pr[k_E]`` (the maximally mixed state
-    when nothing survives the projection), and each live component's state
-    right after the key projection.
+    Each component goes through ``deliver`` into ``state``; ``k_E`` defaults to
+    component 0's likelier key bit.  Unless ``guess_only``, it is then measured at
+    ``k_E`` and repaired: a frozen M is its own repair, a live one is postselected and
+    uncomputed.  ``inspect(final, post)`` sees both states (post None when unrepaired)
+    before they are dropped.  Returns ``(k_E, key laws, eq_simulatedm, rho)``: the worst
+    overlap of a repaired component with the real one and the ``weight * Pr[k_E]`` mix
+    (maximally mixed when nothing survives), or NaN and None when ``guess_only``.
     """
     m_reg = p.message_reg
     m_dim = p.reg_dims[m_reg]
-    eq_simulatedm = 1.0
+    dists, eq_simulatedm, mass = [], 1.0, 0.0
     mixed = np.zeros((m_dim, m_dim), dtype=np.complex128)
-    mass = 0.0
-    posts = []
-    for comp, dist, final in zip(components, dists, finals):
+    for comp in components:
+        dist, final = deliver(p, state, comp.vector)
+        dists.append(dist)
+        if k_E is None:
+            k_E = int(np.argmax(dist[:2]))
         p_i = float(dist[k_E])
+        post = None
         if p_i < _DEAD_COMPONENT_TOL:
-            # the projection annihilated this component; Eve cannot
-            # reproduce it at all
+            # the projection annihilated this component; Eve cannot reproduce it
             eq_simulatedm = 0.0
-            continue
-        post, _ = final.postselect(p.key_reg_a, k_E)
-        rho_i = eve_message(p, post)
-        eq_simulatedm = min(eq_simulatedm, rho_i.overlap(comp.vector))
-        mixed += comp.weight * p_i * rho_i.matrix
-        mass += comp.weight * p_i
-        posts.append(post)
+        elif not guess_only:
+            post = final if final.is_fixed(m_reg) else final.postselect(p.key_reg_a, k_E)[0]
+            rho_i = eve_message(p, post)
+            eq_simulatedm = min(eq_simulatedm, rho_i.overlap(comp.vector))
+            mixed += comp.weight * p_i * rho_i.matrix
+            mass += comp.weight * p_i
+        inspect(final, post)
+        del final, post  # dropped before the next delivery
+    if guess_only:
+        return k_E, dists, float("nan"), None
     if mass < _DEAD_COMPONENT_TOL:
         # nothing survived; send noise so the run still completes
         mixed = np.eye(m_dim, dtype=np.complex128) / m_dim
@@ -152,8 +155,7 @@ def _repair(p: Protocol, components, finals, dists, k_E: int):
     else:
         mixed /= mass
     # a convex mix of density matrices is positive semidefinite by construction
-    rho = DensityOperator._positive([Register(m_reg, m_dim)], mixed)
-    return eq_simulatedm, rho, posts
+    return k_E, dists, eq_simulatedm, DensityOperator._positive([Register(m_reg, m_dim)], mixed)
 
 
 def full_attack(
@@ -171,11 +173,11 @@ def full_attack(
 
     Flow: run the real protocol up to Bob's message (holding the message
     back), learn heavy points from the transcript with threshold ``eps``
-    and query cap ``cap`` (default ceil(d / (lam * eps))), guess the key
-    component by component, repair the message, deliver it, and let the
-    real Alice finish.  ``guess_only`` stops after the key guess (the
-    repair diagnostics come back NaN), which is all the key-recovery
-    experiments need.  ``keep_states`` retains the dense intermediate
+    and query cap ``cap`` (default ceil(d / (lam * eps))), read Bob's message
+    components one at a time (key guess, then repair), deliver the repaired
+    mix, and let the real Alice finish.  ``guess_only`` stops after the key
+    guess (the repair diagnostics come back NaN), which is all the
+    key-recovery experiments need.  ``keep_states`` retains the dense intermediate
     states for check_inequalities and for dumping.
     """
     if not p.alice_no_final_query and not force_simulated_oracle:
@@ -195,19 +197,15 @@ def full_attack(
     trace = run_concrete(p, table, seed=rng, honest=False)
     sim = learn(p, trace.transcript, eps, table, cap=cap)
 
-    dists, finals = zip(*(deliver(p, sim.simulated_state, comp.vector) for comp in trace.ensemble))
-
-    k_E = int(np.argmax(dists[0][:2]))
+    k_E, dists, eq_simulatedm, rho = _repair(p, sim.simulated_state, trace.ensemble,
+                                             guess_only=guess_only)
     components_agree = all(int(np.argmax(d[:2])) == k_E for d in dists)
     eq_find = min(float(d[k_E]) for d in dists)
 
     artifacts = None
     if guess_only:
-        k_A = None
-        eq_simulatedm = float("nan")
-        eq_agrees = float("nan")
+        k_A, eq_agrees = None, float("nan")
     else:
-        eq_simulatedm, rho, _ = _repair(p, trace.ensemble, finals, dists, k_E)
         alice_dist = alice_final(p, trace.alice_state, rho)
         eq_agrees = float(alice_dist[k_E])
         k_A = int(rng.choice(3, p=alice_dist / alice_dist.sum()))
@@ -267,24 +265,19 @@ def check_inequalities(p: Protocol, outcome: AttackOutcome, atol: float = 1e-9) 
     if outcome.artifacts is None:
         raise DomainError("outcome carries no retained states; rerun with keep_states=True")
     art = outcome.artifacts
-    comps = art["message_components"]
-    m_reg = p.message_reg
-
     sim = art["simulated_state"]
-    w_before = all_weights(sim)
-    s_before = fourier_support_size(sim)
-    dists, finals = zip(*(deliver(p, sim, comp.vector) for comp in comps))
-    drift = max(float(np.max(np.abs(all_weights(final) - w_before))) for final in finals)
-    support_ok = all(fourier_support_size(final) == s_before for final in finals)
-    eq_find = min(float(d[outcome.k_E]) for d in dists)
-    eq_sim, rho, posts = _repair(p, comps, finals, dists, outcome.k_E)
+    w_before, s_before = all_weights(sim), fourier_support_size(sim)
+    drifts, supports, gaps = [], [], [0.0]
 
-    order_gap = 0.0
-    if p.alice_no_final_query:
-        for post in posts:
-            if not post.is_fixed(m_reg):
-                gap = eve_message(p, post).matrix - _trace_then_uncompute(p, post).matrix
-                order_gap = max(order_gap, float(np.max(np.abs(gap))))
+    def read(final, post):
+        drifts.append(float(np.max(np.abs(all_weights(final) - w_before))))
+        supports.append(fourier_support_size(final) == s_before)
+        if p.alice_no_final_query and post is not None and not post.is_fixed(p.message_reg):
+            gap = eve_message(p, post).matrix - _trace_then_uncompute(p, post).matrix
+            gaps.append(float(np.max(np.abs(gap))))
+
+    _, dists, eq_sim, rho = _repair(p, sim, art["message_components"], outcome.k_E, inspect=read)
+    eq_find = min(float(d[outcome.k_E]) for d in dists)
     rho_gap = float(np.max(np.abs(rho.matrix - art["rho_prime"].matrix)))
     alice_dist = alice_final(p, art["alice_state"], rho)
     eq_agrees = float(alice_dist[outcome.k_E])
@@ -300,9 +293,9 @@ def check_inequalities(p: Protocol, outcome: AttackOutcome, atol: float = 1e-9) 
         "eq_simulatedm": eq_sim,
         "eq_agrees": eq_agrees,
         "matches_recorded": matches,
-        "h_weight_drift": drift,
-        "support_preserved": support_ok,
-        "uncompute_order_gap": order_gap,
+        "h_weight_drift": max(drifts),
+        "support_preserved": all(supports),
+        "uncompute_order_gap": max(gaps),
         "rho_gap": rho_gap,
     }
 

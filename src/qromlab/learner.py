@@ -50,7 +50,7 @@ def find_heavy(state: QuantumState, eps: float, exclude=frozenset()) -> int | No
     return _first_heavy(all_weights(state), eps, exclude)
 
 
-def _first_heavy(weights, eps: float, exclude) -> int | None:
+def _first_heavy(weights, eps: float, exclude=()) -> int | None:
     for x, w in enumerate(weights):
         if x not in exclude and w >= eps:
             return x
@@ -82,11 +82,11 @@ def learn(
     state, _ = run_conditioned(p, transcript)
     learned = PartialOracle(())
     aborted = False
-    # One weight pass per state: it serves the next heavy-point search
-    # and, once the loop stops, the residual.
+    # One weight pass per state serves the next heavy-point search and, once
+    # the loop stops, the residual; a learned cell is frozen and weighs 0.
     weights = all_weights(state)
     while True:
-        x = _first_heavy(weights, eps, set(learned.domain))
+        x = _first_heavy(weights, eps)
         if x is None:
             break
         if cap is not None and len(learned) >= cap:
@@ -97,13 +97,10 @@ def learn(
         learned = learned.extended(x, y)
         weights = all_weights(state)
 
-    residual = max(
-        (float(w) for x, w in enumerate(weights) if x not in learned.domain), default=0.0
-    )
     return LearnerOutcome(
         simulated_state=state,
         learned=learned,
         queries_made=len(learned),
         aborted=aborted,
-        max_residual_weight=residual,
+        max_residual_weight=float(weights.max()),
     )

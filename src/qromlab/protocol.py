@@ -328,17 +328,26 @@ class Protocol:
         return tuple(r for r in self.regs_with_role(ROLE_BOB) if r != self.key_reg_b)
 
     @cached_property
+    def _run_dims(self) -> Mapping[str, int]:
+        """``reg_dims``, once every register an instruction targets is known to be in it."""
+        programs = [(f"round {i}", s.program) for i, s in enumerate(self.rounds)]
+        for where, program in programs + [("final map", self.final_a_program)]:
+            for t in (t for instr in program for t in instr.targets if t not in self.reg_dims):
+                raise ProtocolShapeError(f"{where}: unknown register {t!r}")
+        return self.reg_dims
+
+    @cached_property
     def _measure_points(self) -> tuple[int | None, ...]:
         """Instructions run before each round's classical message is measured (None: no message)."""
         return tuple(
             None if s.message is None or self.message_kind(s) != "classical"
             else max((i + 1 for i, instr in enumerate(s.program)
-                      if _moves(instr, self.reg_dims, {s.message})), default=0)
+                      if _moves(instr, self._run_dims, {s.message})), default=0)
             for s in self.rounds)
 
     @cached_property
     def _final_writes_m(self) -> bool:
-        return any(_moves(i, self.reg_dims, {self.message_reg}) for i in self.final_a_program)
+        return any(_moves(i, self._run_dims, {self.message_reg}) for i in self.final_a_program)
 
     @cached_property
     def _layout_registers(self) -> tuple[Register, ...]:
@@ -747,7 +756,7 @@ def _walk(p: Protocol, table, choose) -> list[tuple[QuantumState, tuple, tuple]]
     (``collapse_register``), and a measured parent state is dropped as soon as
     its branches exist.
     """
-    dims = p.reg_dims
+    dims = p._run_dims
     done = []
     todo = [(0, _initial_state(p, table), (), ())]
     while todo:
@@ -825,7 +834,7 @@ def final_map(p: Protocol, state: QuantumState) -> tuple[np.ndarray, QuantumStat
     Returns her key distribution over {0, 1, bottom} and the state after
     the map.
     """
-    final = apply_program(state, p.final_a_program, p.reg_dims)
+    final = apply_program(state, p.final_a_program, p._run_dims)
     probs = final.probabilities(p.key_reg_a)
     dist = np.zeros(3)
     dist[: len(probs)] = probs

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from qromlab.protocol import (
     Protocol,
     ProtocolRegister,
     Step,
-    deliver,
     function_permutation,
     permutation_gate,
     run_concrete,
@@ -79,12 +79,10 @@ def random_table(rng, n):
 def test_eve_message_matches_hand_computation():
     p, sim = micro_sim_state()
     plus = np.array([1, 1]) / math.sqrt(2)
-    dist, final = deliver(p, sim.simulated_state, plus)
-    k_E = int(np.argmax(dist[:2]))
+    k_E, _, eq_simulatedm, rho = atk._repair(p, sim.simulated_state,
+                                             [EnsembleComponent(1.0, plus, ())])
     # KA ends up at m*e over four equal branches: three of them give 0
     assert k_E == 0
-    eq_simulatedm, rho, _ = atk._repair(p, [EnsembleComponent(1.0, plus, ())], [final], [dist],
-                                        k_E)
     expected = np.array([[2, 1], [1, 1]]) / 3
     assert np.abs(rho.matrix - expected).max() < 1e-12
     assert rho.overlap(plus) == pytest.approx(5 / 6)
@@ -229,6 +227,58 @@ def test_check_inequalities_needs_kept_states():
     out = atk.full_attack(p, 0.05, 0.05, (1, 1, 0, 1), seed=8)
     with pytest.raises(DomainError):
         atk.check_inequalities(p, out)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eve_holds_one_delivered_state_whatever_the_component_count():
+    # trivial-last-message at n=8 sends 2 to 6 components over these trials
+    p = zoo.trivial_last_message_protocol(8)
+    sim = learn(p, run_concrete(p, (0,) * 8, seed=0).transcript, 0.25, (0,) * 8)
+    m_basis = np.eye(p.reg_dims[p.message_reg])[0]
+    state_bytes = protocol.deliver(p, sim.simulated_state, m_basis)[1].amps.nbytes
+    peaks = {"guess": [], "repair": [], "check": []}
+    for trial in range(6):
+        kept = []
+        for mode, guess_only in (("guess", True), ("repair", False)):
+            rng = atk.trial_rng(1, trial)
+            table = atk.random_table(rng, p)
+            peaks[mode].append(_traced_peak(lambda: kept.append(atk.full_attack(
+                p, 0.25, 0.05, table, seed=rng, guess_only=guess_only,
+                force_simulated_oracle=True, keep_states=True))))
+        peaks["check"].append(_traced_peak(lambda: atk.check_inequalities(p, kept[-1])))
+    for mode, seen in peaks.items():
+        assert max(seen) - min(seen) < state_bytes, (mode, seen)
+
+
+def test_a_frozen_component_is_its_own_repair_without_a_postselected_copy(monkeypatch):
+    calls = []
+    postselect = qstate.QuantumState.postselect
+
+    def spy(state, *args, **kwargs):
+        calls.append(args)
+        return postselect(state, *args, **kwargs)
+
+    monkeypatch.setattr(qstate.QuantumState, "postselect", spy)
+    z = zoo.standard_zoo(4, Z2)
+    for name in ("announced-query", "merkle", "ka-from-toy-qpke"):
+        for trial in range(20):
+            rng = atk.trial_rng(2, trial)
+            out = atk.full_attack(z[name], 0.05, 0.05, atk.random_table(rng, z[name]), seed=rng)
+            assert out.eq_simulatedm == pytest.approx(1.0, abs=1e-9)
+    assert calls == []
+    # a live component still goes through the key projection
+    p, sim = micro_sim_state()
+    plus = np.array([1, 1]) / math.sqrt(2)
+    atk._repair(p, sim.simulated_state, [EnsembleComponent(1.0, plus, ())])
+    assert len(calls) == 1
 
 
 def test_ind_cpa_game_wins_and_refuses_querying_dec():

@@ -1044,3 +1044,31 @@ def test_a_gate_on_an_unknown_register_is_a_violation_not_a_construction_error()
         proto.hadamard_gate("Q"),))
     rep = proto.validate(dataclasses.replace(p, rounds=(alice, p.rounds[1])))
     assert rep.violations == ["round 0: unknown register 'Q'"]
+
+
+def test_running_a_gate_on_an_unknown_register_is_a_shape_error_naming_it():
+    p = zoo.announced_query_protocol(4)
+    table = (0, 1, 0, 1)
+    alice = dataclasses.replace(p.rounds[0], program=p.rounds[0].program + (
+        proto.hadamard_gate("Q"),))
+    bad_round = dataclasses.replace(p, rounds=(alice, *p.rounds[1:]))
+    bad_final = dataclasses.replace(
+        p, final_a_program=p.final_a_program + (proto.hadamard_gate("Q"),))
+    assert proto.validate(bad_round).violations == ["round 0: unknown register 'Q'"]
+    assert proto.validate(bad_final).violations == ["final map: unknown register 'Q'"]
+    state, _ = proto.run_conditioned(p, (0,), table)
+    plus = np.array([1, 1]) / math.sqrt(2)
+    runs = [
+        lambda bad: proto.run_concrete(bad, table, seed=0),
+        lambda bad: proto.run_purified(bad, seed=0),
+        lambda bad: proto.run_conditioned(bad, (0,)),
+        lambda bad: proto.enumerate_branches(bad, table),
+        lambda bad: atk.full_attack(bad, 0.05, 0.05, table, seed=1),
+        lambda bad: proto.final_map(bad, state),
+        lambda bad: proto.deliver(bad, state, [1, 0]),
+        lambda bad: proto.deliver(bad, state, plus),
+    ]
+    for bad, where in ((bad_round, "round 0"), (bad_final, "final map")):
+        for run in runs:
+            with pytest.raises(ProtocolShapeError, match=f"{where}: unknown register 'Q'"):
+                run(bad)
