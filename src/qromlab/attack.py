@@ -1,13 +1,14 @@
 """Eve's active attack on protocols whose final map skips the oracle.
 
 The attack composes the pieces built elsewhere: run the protocol against a
-fixed table while holding back Bob's quantum message, learn the heavy oracle
-points from the transcript, rebuild Bob's lab inside Eve's simulator, and
-run Alice's final map against the simulated oracle to read off the key.  Each
-intercepted component is repaired (measure, uncompute) as soon as it is read,
-and the repaired mix goes to the real Alice.  Every delivery is
-``protocol.deliver``: a basis component that the final map only reads is a
-frozen register, like a sent symbol, so its repair is the frozen value itself.
+fixed table while holding back Bob's quantum message, split the run into Bob's
+message ensemble and Alice's pure state (the only caller that does), learn the
+heavy oracle points from the transcript, and run Alice's final map against the
+simulated oracle to read off the key.  Each intercepted component is repaired
+(measure, uncompute) as soon as it is read, and the repaired mix goes to the
+real Alice.  Every delivery is ``protocol.deliver``: a basis component that the
+final map only reads is a frozen register, like a sent symbol, so its repair is
+the frozen value itself.
 
 Everything here is exact linear algebra on small dense states, so the
 diagnostics (eq_find, eq_simulatedm, eq_agrees) are computed to numerical
@@ -24,7 +25,8 @@ import numpy as np
 from .errors import DomainError, UnsupportedProtocolError
 from .learner import LearnerOutcome, learn
 from .oracle import all_weights, check_table, fourier_support_size
-from .protocol import KEY_ABORT, Protocol, alice_final, apply_program, deliver, run_concrete
+from .protocol import (KEY_ABORT, Protocol, _sampled_run, alice_final, apply_program, deliver,
+                       extract_alice_state, message_ensemble)
 from .qstate import DensityOperator, QuantumState, Register
 from .zoo import QpkeScheme, ka_from_qpke
 
@@ -53,8 +55,6 @@ class AttackOutcome:
     k_E: int
     k_A: int | None
     k_B: int
-    l_size: int
-    aborted: bool
     eq_find: float
     eq_simulatedm: float
     eq_agrees: float
@@ -64,6 +64,14 @@ class AttackOutcome:
     table: tuple
     learner: LearnerOutcome
     artifacts: dict | None = field(default=None, repr=False)
+
+    @property
+    def l_size(self) -> int:
+        return self.learner.queries_made
+
+    @property
+    def aborted(self) -> bool:
+        return self.learner.aborted
 
     @property
     def success(self) -> bool:
@@ -113,16 +121,17 @@ def eve_message(p: Protocol, post_state: QuantumState) -> DensityOperator:
 
 
 def _repair(p: Protocol, state: QuantumState, components, k_E: int | None = None,
-            guess_only: bool = False, inspect=lambda final, post: None):
+            guess_only: bool = False, inspect=lambda final, post, rho: None):
     """Eve's one pass over Bob's components, one delivered state at a time.
 
     Each component goes through ``deliver`` into ``state``; ``k_E`` defaults to
     component 0's likelier key bit.  Unless ``guess_only``, it is then measured at
     ``k_E`` and repaired: a frozen M is its own repair, a live one is postselected and
-    uncomputed.  ``inspect(final, post)`` sees both states (post None when unrepaired)
-    before they are dropped.  Returns ``(k_E, key laws, eq_simulatedm, rho)``: the worst
-    overlap of a repaired component with the real one and the ``weight * Pr[k_E]`` mix
-    (maximally mixed when nothing survives), or NaN and None when ``guess_only``.
+    uncomputed.  ``inspect(final, post, rho)`` sees both states and the repaired message
+    (post and rho None when unrepaired) before they are dropped.  Returns ``(k_E, key
+    laws, eq_simulatedm, rho)``: the worst overlap of a repaired component with the real
+    one and the ``weight * Pr[k_E]`` mix (maximally mixed when nothing survives), or NaN
+    and None when ``guess_only``.
     """
     m_reg = p.message_reg
     m_dim = p.reg_dims[m_reg]
@@ -134,7 +143,7 @@ def _repair(p: Protocol, state: QuantumState, components, k_E: int | None = None
         if k_E is None:
             k_E = int(np.argmax(dist[:2]))
         p_i = float(dist[k_E])
-        post = None
+        post = rho_i = None
         if p_i < _DEAD_COMPONENT_TOL:
             # the projection annihilated this component; Eve cannot reproduce it
             eq_simulatedm = 0.0
@@ -144,8 +153,8 @@ def _repair(p: Protocol, state: QuantumState, components, k_E: int | None = None
             eq_simulatedm = min(eq_simulatedm, rho_i.overlap(comp.vector))
             mixed += comp.weight * p_i * rho_i.matrix
             mass += comp.weight * p_i
-        inspect(final, post)
-        del final, post  # dropped before the next delivery
+        inspect(final, post, rho_i)
+        del final, post, rho_i  # dropped before the next delivery
     if guess_only:
         return k_E, dists, float("nan"), None
     if mass < _DEAD_COMPONENT_TOL:
@@ -172,10 +181,11 @@ def full_attack(
     """One end-to-end run of Eve's attack against one oracle table.
 
     Flow: run the real protocol up to Bob's message (holding the message
-    back), learn heavy points from the transcript with threshold ``eps``
-    and query cap ``cap`` (default ceil(d / (lam * eps))), read Bob's message
-    components one at a time (key guess, then repair), deliver the repaired
-    mix, and let the real Alice finish.  ``guess_only`` stops after the key
+    back), split the run into Bob's ensemble and Alice's state, learn heavy
+    points from the transcript with threshold ``eps`` and query cap ``cap``
+    (default ceil(d / (lam * eps))), read Bob's message components one at a
+    time (key guess, then repair), deliver the repaired mix, and let the real
+    Alice finish.  ``guess_only`` stops after the key
     guess (the repair diagnostics come back NaN), which is all the
     key-recovery experiments need.  ``keep_states`` retains the dense intermediate
     states for check_inequalities and for dumping.
@@ -194,10 +204,12 @@ def full_attack(
     if cap is None:
         cap = default_cap(p, eps, lam)
 
-    trace = run_concrete(p, table, seed=rng, honest=False)
-    sim = learn(p, trace.transcript, eps, table, cap=cap)
+    run = _sampled_run(p, table, rng)
+    ensemble = message_ensemble(run.state, p)
+    alice_state = extract_alice_state(run.state, p)
+    sim = learn(p, run.transcript, eps, table, cap=cap)
 
-    k_E, dists, eq_simulatedm, rho = _repair(p, sim.simulated_state, trace.ensemble,
+    k_E, dists, eq_simulatedm, rho = _repair(p, sim.simulated_state, ensemble,
                                              guess_only=guess_only)
     components_agree = all(int(np.argmax(d[:2])) == k_E for d in dists)
     eq_find = min(float(d[k_E]) for d in dists)
@@ -206,15 +218,15 @@ def full_attack(
     if guess_only:
         k_A, eq_agrees = None, float("nan")
     else:
-        alice_dist = alice_final(p, trace.alice_state, rho)
+        alice_dist = alice_final(p, alice_state, rho)
         eq_agrees = float(alice_dist[k_E])
         k_A = int(rng.choice(3, p=alice_dist / alice_dist.sum()))
         if keep_states:
             artifacts = {
                 "simulated_state": sim.simulated_state,
-                "message_components": list(trace.ensemble),
+                "message_components": ensemble,
                 "rho_prime": rho,
-                "alice_state": trace.alice_state,
+                "alice_state": alice_state,
             }
 
     conjecture_relevant = (
@@ -225,15 +237,13 @@ def full_attack(
     return AttackOutcome(
         k_E=k_E,
         k_A=k_A,
-        k_B=trace.k_B,
-        l_size=sim.queries_made,
-        aborted=sim.aborted,
+        k_B=run.state.fixed[p.key_reg_b],
         eq_find=eq_find,
         eq_simulatedm=eq_simulatedm,
         eq_agrees=eq_agrees,
         components_agree=components_agree,
         conjecture_relevant=conjecture_relevant,
-        transcript=trace.transcript,
+        transcript=run.transcript,
         table=table,
         learner=sim,
         artifacts=artifacts,
@@ -269,11 +279,11 @@ def check_inequalities(p: Protocol, outcome: AttackOutcome, atol: float = 1e-9) 
     w_before, s_before = all_weights(sim), fourier_support_size(sim)
     drifts, supports, gaps = [], [], [0.0]
 
-    def read(final, post):
+    def read(final, post, rho_i):
         drifts.append(float(np.max(np.abs(all_weights(final) - w_before))))
         supports.append(fourier_support_size(final) == s_before)
         if p.alice_no_final_query and post is not None and not post.is_fixed(p.message_reg):
-            gap = eve_message(p, post).matrix - _trace_then_uncompute(p, post).matrix
+            gap = rho_i.matrix - _trace_then_uncompute(p, post).matrix
             gaps.append(float(np.max(np.abs(gap))))
 
     _, dists, eq_sim, rho = _repair(p, sim, art["message_components"], outcome.k_E, inspect=read)

@@ -215,18 +215,20 @@ class ExperimentConfig:
         return GroupSpec(tuple(self.group))
 
     def resolve_protocol(self) -> Protocol:
+        """A builtin name always means the builtin; any other name is a path when it
+        ends in ``.json`` or exists."""
         if self.protocol_json is not None:
             return Protocol.from_json(self.protocol_json)
         if self.protocol is None:
             raise ConfigError(["no protocol configured"])
+        build = zoo.BUILTINS.get(self.protocol)
+        if build is not None:
+            return build(self.n, self.group_spec())
         path = Path(self.protocol)
         if path.suffix == ".json" or path.exists():
             return Protocol.from_json(_read_file(path))
-        build = zoo.BUILTINS.get(self.protocol)
-        if build is None:
-            known = ", ".join(sorted(zoo.BUILTINS))
-            raise ConfigError([f"unknown protocol {self.protocol!r}; builtins: {known}"])
-        return build(self.n, self.group_spec())
+        known = ", ".join(sorted(zoo.BUILTINS))
+        raise ConfigError([f"unknown protocol {self.protocol!r}; builtins: {known}"])
 
 
 def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):
@@ -309,9 +311,9 @@ def _learner_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int) -
     rng = trial_rng(cfg.seed, trial)
     table = random_table(rng, p)
     start = time.thread_time()
-    trace = run_concrete(p, table, seed=rng, honest=False)
+    transcript = run_concrete(p, table, seed=rng).transcript
     cap = cfg.cap if cfg.cap is not None else default_cap(p, eps, cfg.lam)
-    res = learn(p, trace.transcript, eps, table, cap=cap)
+    res = learn(p, transcript, eps, table, cap=cap)
     return [trial, res.queries_made, res.aborted, res.max_residual_weight,
             time.thread_time() - start]
 

@@ -27,17 +27,13 @@ from .qstate import QuantumState
 class LearnerOutcome:
     simulated_state: QuantumState
     learned: PartialOracle
-    queries_made: int
     aborted: bool
     max_residual_weight: float
 
-    def to_json(self) -> dict:
-        return {
-            "L": self.learned.to_json(),
-            "queries": self.queries_made,
-            "aborted": self.aborted,
-            "max_residual_weight": self.max_residual_weight,
-        }
+    @property
+    def queries_made(self) -> int:
+        """Classical queries asked: one per learned point."""
+        return len(self.learned)
 
 
 def find_heavy(state: QuantumState, eps: float, exclude=frozenset()) -> int | None:
@@ -100,7 +96,6 @@ def learn(
     return LearnerOutcome(
         simulated_state=state,
         learned=learned,
-        queries_made=len(learned),
         aborted=aborted,
         max_residual_weight=float(weights.max()),
     )

@@ -27,9 +27,12 @@ Agreement of the two is what the oracle-model tests pin down.
 Every run of a protocol walks its rounds with the one walker ``_walk``.  At each
 classical message it follows the symbols a chooser picks: one sampled symbol
 (``run_purified``, ``run_concrete``), the forced symbol (``run_conditioned``) or
-every symbol with probability at least 1e-12 (``enumerate_branches``).  Alice's
-final map runs through ``final_map``; ``deliver`` is the one step that puts a
-received message on M first.
+every symbol with probability at least 1e-12 (``enumerate_branches``).  A sampled
+run and the enumeration return the walk's ``Branch``es; a sampled run also freezes
+Bob's sampled key.  Bob's message ensemble (``message_ensemble``) and Alice's state
+(``extract_alice_state``) are read off a branch only by a caller that needs them.
+Alice's final map runs through ``final_map``; ``deliver`` is the one step that
+puts a received message on M first.
 """
 
 from __future__ import annotations
@@ -274,13 +277,12 @@ class Protocol:
     key_reg_a: str
     key_reg_b: str
     amplitude_cap: int = DEFAULT_AMPLITUDE_CAP
-    oracle: OracleSpec = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # Built once here, not lazily: the CLI's pool threads share one protocol.
-        object.__setattr__(self, "oracle", OracleSpec(self.domain_size, self.group))
 
     # -- facts the programs fix, each derived on first read ----------------
+
+    @cached_property
+    def oracle(self) -> OracleSpec:
+        return OracleSpec(self.domain_size, self.group)
 
     @cached_property
     def reg_dims(self) -> Mapping[str, int]:
@@ -490,6 +492,10 @@ def validate(p: Protocol) -> ValidationReport:
         return rep
     dims = p.reg_dims
     roles = {r.name: r.role for r in p.registers}
+    try:
+        p.oracle  # every run reads it; an empty domain has none
+    except DomainError as exc:
+        rep.violations.append(str(exc))
 
     quantum_msg = p.regs_with_role(ROLE_MESSAGE)
     if len(quantum_msg) != 1:
@@ -723,13 +729,13 @@ class EnsembleComponent:
 
 
 @dataclass
-class ExecutionTrace:
+class Branch:
+    """One path of the walk: its transcript, the transcript's probability and the
+    state at its end (Bob's key frozen in it, for a sampled run)."""
+
     transcript: tuple[int, ...]
-    transcript_probs: tuple[float, ...]
-    k_B: int
-    ensemble: list[EnsembleComponent]
-    k_A: int | None = None
-    alice_state: QuantumState | None = None
+    probability: float
+    state: QuantumState
 
 
 def _initial_state(p: Protocol, table) -> QuantumState:
@@ -812,20 +818,13 @@ def message_ensemble(state: QuantumState, p: Protocol) -> list[EnsembleComponent
     return components
 
 
-def _sampled_run(p: Protocol, table, seed, honest: bool) -> ExecutionTrace:
-    """One sampled run, purified (table=None) or concrete: Bob's key, his
-    message ensemble and, when ``honest``, Alice's key."""
+def _sampled_run(p: Protocol, table, seed) -> Branch:
+    """One sampled run, purified (table=None) or concrete, with Bob's sampled key frozen."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     [(state, transcript, probs)] = _walk(
         p, table, lambda s, message, _: [_sample(rng, s.probabilities(message))])
-    k_B = _sample(rng, state.probabilities(p.key_reg_b))
-    state, _ = state.collapse_register(p.key_reg_b, k_B)
-    trace = ExecutionTrace(transcript, probs, k_B, message_ensemble(state, p))
-    if honest:
-        trace.k_A = _sample(rng, final_map(p, state)[0])
-    if table is not None:
-        trace.alice_state = extract_alice_state(state, p)
-    return trace
+    state, _ = state.collapse_register(p.key_reg_b, _sample(rng, state.probabilities(p.key_reg_b)))
+    return Branch(transcript, float(math.prod(probs)), state)
 
 
 def final_map(p: Protocol, state: QuantumState) -> tuple[np.ndarray, QuantumState]:
@@ -857,14 +856,14 @@ def extract_alice_state(state: QuantumState, p: Protocol) -> QuantumState:
     return QuantumState.from_vector(layout, vector, fixed)
 
 
-def run_purified(p: Protocol, seed=None, honest: bool = True) -> ExecutionTrace:
+def run_purified(p: Protocol, seed=None) -> Branch:
     """Sample one purified execution: every party plus the oracle in one state."""
-    return _sampled_run(p, None, seed, honest)
+    return _sampled_run(p, None, seed)
 
 
-def run_concrete(p: Protocol, table, seed=None, honest: bool = True) -> ExecutionTrace:
+def run_concrete(p: Protocol, table, seed=None) -> Branch:
     """Sample one run against a fixed oracle table."""
-    return _sampled_run(p, table, seed, honest)
+    return _sampled_run(p, table, seed)
 
 
 def run_conditioned(p: Protocol, transcript, table=None) -> tuple[QuantumState, float]:
@@ -887,13 +886,6 @@ def run_conditioned(p: Protocol, transcript, table=None) -> tuple[QuantumState, 
 
 
 # -- exhaustive enumeration -------------------------------------------------
-
-
-@dataclass
-class Branch:
-    transcript: tuple[int, ...]
-    probability: float
-    state: QuantumState
 
 
 def _every_symbol(state: QuantumState, message: str, _) -> list[int]:

@@ -113,8 +113,8 @@ def test_criterion_4_learner_is_efficient_and_leaves_no_heavy_point():
         for t in range(200):
             rng = trial_rng(404 + offset, t)
             table = random_table(rng, p.domain_size)
-            trace = proto.run_concrete(p, table, seed=rng, honest=False)
-            res = learn(p, trace.transcript, eps, table, cap=cap)
+            run = proto.run_concrete(p, table, seed=rng)
+            res = learn(p, run.transcript, eps, table, cap=cap)
             sizes.append(res.queries_made)
             if res.aborted:
                 aborts += 1

@@ -69,7 +69,7 @@ def micro_sim_state():
     vec[0] = 1 / math.sqrt(2)
     vec[12] = 1 / math.sqrt(2)
     state = QuantumState.from_vector(layout, vec)
-    return p, LearnerOutcome(state, PartialOracle(()), 0, False, 0.0)
+    return p, LearnerOutcome(state, PartialOracle(()), False, 0.0)
 
 
 def random_table(rng, n):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qromlab import cli, pcc, zoo
+from qromlab import attack, cli, pcc, protocol, zoo
 from qromlab.cli import ConfigError, ExperimentConfig
 from qromlab.errors import DomainError, ProtocolShapeError, QromlabError, ReplayMismatchError
 from qromlab.protocol import KEY_ABORT, Protocol, permutation_gate, validate
@@ -224,6 +224,41 @@ def test_a_builtin_resolves_where_only_its_own_constructor_accepts_n(tmp_path, c
     cfg = make_config(tmp_path, protocol="constant-key", n=1, trials=2)
     assert cfg.resolve_protocol().domain_size == 1
     assert cli.run_experiment(cfg)["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("shadow", ["directory", "file"])
+def test_a_builtin_name_means_the_builtin_whatever_the_working_directory_holds(
+        tmp_path, monkeypatch, capsys, shadow):
+    monkeypatch.chdir(tmp_path)
+    if shadow == "directory":
+        (tmp_path / "merkle").mkdir()
+    else:
+        (tmp_path / "merkle").write_text("not a protocol")
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"mode": "learner-only", "protocol": "merkle", "n": 8, "trials": 2, "out_dir": "out"}))
+    assert cli.main(["run", "--config", "cfg.json"]) == 0
+    assert len(read_rows(tmp_path / "out" / "trials_eps0.csv")) == 2
+    capsys.readouterr()
+    assert cli.main(["describe", "merkle"]) == 0
+    assert capsys.readouterr().out.startswith("merkle: domain size 4")
+    with pytest.raises(ConfigError, match="unknown protocol 'merkel'; builtins: announced-query"):
+        ExperimentConfig(mode="learner-only", protocol="merkel").resolve_protocol()
+
+
+def test_only_attack_trials_split_bob_message_and_alice_lab(tmp_path, monkeypatch):
+    calls = []
+    for name in ("message_ensemble", "extract_alice_state"):
+        real = getattr(protocol, name)
+        for module in (protocol, attack):
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a), raising=False)
+    monkeypatch.setenv("QROMLAB_THREADS", "1")
+    for mode in ("learner-only", "attack"):
+        calls.clear()
+        cli.run_experiment(make_config(tmp_path / mode, mode=mode, protocol="merkle", n=8,
+                                       trials=4))
+        want = [] if mode == "learner-only" else ["message_ensemble", "extract_alice_state"] * 4
+        assert calls == want, mode
 
 
 def test_replay_notices_a_tampered_row(tmp_path):

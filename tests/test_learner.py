@@ -139,10 +139,9 @@ def test_learn_efficiency_and_security_small_sweep():
 def test_learn_outcome_serializes():
     p = zoo.announced_query_protocol(4, Z2)
     out = learn(p, (0,), 0.1, (1, 1, 0, 0))
-    blob = out.to_json()
-    assert blob["L"] == [[0, 1]]
-    assert blob["queries"] == 1
-    assert blob["aborted"] is False
+    assert out.learned.to_json() == [[0, 1]]
+    assert out.queries_made == 1
+    assert out.aborted is False
     assert isinstance(out, LearnerOutcome)
 
 

@@ -7,6 +7,7 @@ own answer.  Keys always agree and every ingredient (branch
 probabilities, ensembles, final map) can be checked by hand.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qromlab import attack as atk
-from qromlab import circuits, oracle, zoo
+from qromlab import circuits, cli, oracle, zoo
 from qromlab import protocol as proto
 from qromlab.algebra import GroupSpec, cyclic
 from qromlab.errors import (
@@ -258,22 +259,28 @@ def test_mistyped_round_or_register_name_is_a_shape_error(where, key, value):
         proto.Protocol.from_json(data)
 
 
+def intercepted(p, table, seed):
+    """A concrete run as the attack reads it: Bob's key, his message ensemble and Alice's state."""
+    run = proto.run_concrete(p, table, seed=seed)
+    return (run.state.fixed[p.key_reg_b], proto.message_ensemble(run.state, p),
+            proto.extract_alice_state(run.state, p))
+
+
 def test_concrete_runs_are_always_correct():
     p = tiny_protocol()
     for table in all_tables():
-        trace = proto.run_concrete(p, table, seed=5)
-        x_star = trace.transcript[0]
-        assert trace.k_B == table[x_star]
-        assert trace.k_A == trace.k_B
-        assert trace.transcript_probs[0] == pytest.approx(0.5)
-        assert len(trace.ensemble) == 1
-        comp = trace.ensemble[0]
+        run = proto.run_concrete(p, table, seed=5)
+        k_B = run.state.fixed["KB"]
+        assert k_B == table[run.transcript[0]]
+        # Alice's final map on the run's own state outputs Bob's key with certainty
+        assert proto.final_map(p, run.state)[0][k_B] == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert run.probability == pytest.approx(0.5)
+        [comp] = proto.message_ensemble(run.state, p)
         assert comp.weight == pytest.approx(1.0)
         expected = np.zeros(2)
-        expected[trace.k_B] = 1.0
+        expected[k_B] = 1.0
         assert np.allclose(comp.vector, expected)
-        assert trace.alice_state is not None
-        assert trace.alice_state.norm() == pytest.approx(1.0)
+        assert proto.extract_alice_state(run.state, p).norm() == pytest.approx(1.0)
 
 
 def test_joint_distribution_by_hand():
@@ -296,35 +303,36 @@ def test_sampled_runs_are_seed_deterministic():
     a = proto.run_purified(p, seed=11)
     b = proto.run_purified(p, seed=11)
     assert a.transcript == b.transcript
-    assert a.k_B == b.k_B
-    assert a.k_A == b.k_A
-    assert np.array_equal(a.ensemble[0].vector, b.ensemble[0].vector)
+    assert a.probability == b.probability
+    assert a.state.fixed == b.state.fixed and "KB" in a.state.fixed
+    assert np.array_equal(a.state.amps, b.state.amps)
+
+
+def with_bob_entangling(reg):
+    """tiny_protocol plus a register ``reg`` Bob puts in |+> and adds into M."""
+    p = tiny_protocol()
+    bob = proto.Step(
+        party="B",
+        program=(
+            proto.Query("YB", x_reg="T1"),
+            proto.controlled_add_gate("YB", "KB"),
+            proto.hadamard_gate(reg.name),
+            proto.controlled_add_gate(reg.name, "M"),
+        ),
+        message="M",
+    )
+    return dataclasses.replace(p, registers=p.registers + (reg,), rounds=(p.rounds[0], bob))
 
 
 def test_ensemble_registers_split_the_message():
-    p = tiny_protocol()
-
-    def with_bob_entangling(reg):
-        """tiny_protocol plus a register ``reg`` Bob puts in |+> and adds into M."""
-        bob = proto.Step(
-            party="B",
-            program=(
-                proto.Query("YB", x_reg="T1"),
-                proto.controlled_add_gate("YB", "KB"),
-                proto.hadamard_gate(reg.name),
-                proto.controlled_add_gate(reg.name, "M"),
-            ),
-            message="M",
-        )
-        return dataclasses.replace(p, registers=p.registers + (reg,), rounds=(p.rounds[0], bob))
-
     entangling = with_bob_entangling(proto.ProtocolRegister("B0", 2, "B"))
     assert entangling.ensemble_regs == ("YB", "B0")
-    trace = proto.run_concrete(entangling, (1, 0), seed=3, honest=False)
-    assert len(trace.ensemble) == 2
-    weights = sorted(c.weight for c in trace.ensemble)
+    ensemble = proto.message_ensemble(proto.run_concrete(entangling, (1, 0), seed=3).state,
+                                      entangling)
+    assert len(ensemble) == 2
+    weights = sorted(c.weight for c in ensemble)
     assert weights == pytest.approx([0.5, 0.5])
-    for comp in trace.ensemble:
+    for comp in ensemble:
         expected = np.zeros(2)
         expected[comp.values[1]] = 1.0
         assert np.allclose(comp.vector, expected)
@@ -333,8 +341,26 @@ def test_ensemble_registers_split_the_message():
     # Bob's registers purifies it, so the message is not pure in any branch
     unmeasured = with_bob_entangling(proto.ProtocolRegister("T9", 2, "T"))
     assert unmeasured.ensemble_regs == ("YB",)
+    run = proto.run_concrete(unmeasured, (1, 0), seed=3)
     with pytest.raises(UnsupportedProtocolError):
-        proto.run_concrete(unmeasured, (1, 0), seed=3, honest=False)
+        proto.message_ensemble(run.state, unmeasured)
+
+
+def test_only_the_attack_needs_bob_to_split_his_message(tmp_path):
+    # M entangled with T9, which no party announces: validate accepts the protocol,
+    # and the learner reads only the transcript, but Eve cannot split Bob's message
+    unmeasured = with_bob_entangling(proto.ProtocolRegister("T9", 2, "T"))
+    report = proto.validate(unmeasured)
+    assert report.violations == [] and report.notices == []
+    config = {"protocol_json": unmeasured.to_json(), "n": 2, "trials": 4, "seed": 1}
+    cli.run_experiment(cli.ExperimentConfig(mode="learner-only", out_dir=str(tmp_path / "learn"),
+                                            **config))
+    with open(tmp_path / "learn" / "trials_eps0.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["trial"] for row in rows] == ["0", "1", "2", "3"]
+    with pytest.raises(UnsupportedProtocolError, match="not pure given the ensemble registers"):
+        cli.run_experiment(cli.ExperimentConfig(mode="attack", out_dir=str(tmp_path / "attack"),
+                                                **config))
 
 
 def ensembles_by_assignment(p, table):
@@ -371,12 +397,12 @@ def test_message_ensemble_does_not_depend_on_declaration_order(name, order, tabl
 def test_alice_final_accepts_honest_and_rejects_flipped_message():
     p = tiny_protocol()
     for table in all_tables():
-        trace = proto.run_concrete(p, table, seed=9)
-        honest = trace.ensemble[0].vector
-        dist = proto.alice_final(p, trace.alice_state, honest)
-        assert dist[trace.k_B] == pytest.approx(1.0)
+        k_B, ensemble, alice = intercepted(p, table, seed=9)
+        honest = ensemble[0].vector
+        dist = proto.alice_final(p, alice, honest)
+        assert dist[k_B] == pytest.approx(1.0)
         flipped = honest[::-1].copy()
-        dist = proto.alice_final(p, trace.alice_state, flipped)
+        dist = proto.alice_final(p, alice, flipped)
         assert dist[2] == pytest.approx(1.0)
         assert dist.sum() == pytest.approx(1.0)
 
@@ -385,22 +411,22 @@ def test_alice_final_accepts_honest_and_rejects_flipped_message():
                          ids=["half-basis", "long", "unnormalized", "nan"])
 def test_a_message_that_is_no_unit_vector_is_a_domain_error(message):
     p = tiny_protocol()
-    trace = proto.run_concrete(p, (0, 1), seed=1)
+    _, _, alice = intercepted(p, (0, 1), seed=1)
     with pytest.raises(DomainError, match="unit vector"):
-        proto.alice_final(p, trace.alice_state, np.array(message))
+        proto.alice_final(p, alice, np.array(message))
 
 
 def test_alice_final_mixes_density_operators():
     p = tiny_protocol()
-    trace = proto.run_concrete(p, (0, 1), seed=1)
-    honest = trace.ensemble[0].vector
+    k_B, ensemble, alice = intercepted(p, (0, 1), seed=1)
+    honest = ensemble[0].vector
     flipped = honest[::-1].copy()
     rho = 0.5 * np.outer(honest, honest.conj()) + 0.5 * np.outer(flipped, flipped.conj())
     from qromlab.qstate import DensityOperator
 
     op = DensityOperator([Register("M", 2)], rho)
-    dist = proto.alice_final(p, trace.alice_state, op)
-    assert dist[trace.k_B] == pytest.approx(0.5)
+    dist = proto.alice_final(p, alice, op)
+    assert dist[k_B] == pytest.approx(0.5)
     assert dist[2] == pytest.approx(0.5)
 
 
@@ -720,11 +746,12 @@ def test_a_matrix_gate_reads_an_announced_register_as_a_control():
     assert set(dist) == set(expect)
     assert all(dist[k] == pytest.approx(w) for k, w in expect.items())
     for table in all_tables():
-        trace = proto.run_concrete(p, table, seed=4)
-        assert trace.alice_state.fixed["T1"] == trace.transcript[0]
-        got = proto.alice_final(p, trace.alice_state, np.eye(2)[trace.k_B])
-        k = table[trace.transcript[0]]
-        want = np.eye(3)[k] if trace.transcript == (0,) else (np.eye(3)[k] + np.eye(3)[2]) / 2
+        run = proto.run_concrete(p, table, seed=4)
+        alice = proto.extract_alice_state(run.state, p)
+        assert alice.fixed["T1"] == run.transcript[0]
+        got = proto.alice_final(p, alice, np.eye(2)[run.state.fixed["KB"]])
+        k = table[run.transcript[0]]
+        want = np.eye(3)[k] if run.transcript == (0,) else (np.eye(3)[k] + np.eye(3)[2]) / 2
         assert np.allclose(got, want)
 
 
@@ -891,6 +918,23 @@ def test_a_final_map_that_writes_the_message_gets_it_live(monkeypatch):
     assert compared, "no post kept M live, so the two operator orders were never compared"
 
 
+def test_the_checker_uncomputes_each_live_component_once(monkeypatch):
+    p = hadamard_decode_protocol()
+    repaired, compared = [], []
+    eve_message, trace_first = atk.eve_message, atk._trace_then_uncompute
+    monkeypatch.setattr(atk, "eve_message",
+                        lambda p, post: repaired.append(post) or eve_message(p, post))
+    monkeypatch.setattr(atk, "_trace_then_uncompute",
+                        lambda p, post: compared.append(post) or trace_first(p, post))
+    for table in all_tables():
+        out = atk.full_attack(p, 0.05, 0.05, table, seed=4, keep_states=True)
+        repaired.clear()
+        compared.clear()
+        atk.check_inequalities(p, out)
+        # one uncompute per live post, shared by the mix and the order gap
+        assert compared and len(repaired) == len(compared)
+
+
 @pytest.mark.parametrize("where, instr", [
     ("round", proto.hadamard_gate("T1")),
     ("round", proto.Query("T1", x_const=0)),
@@ -1036,6 +1080,15 @@ def test_the_register_map_is_read_only_and_follows_a_replace():
     wider = dataclasses.replace(p, registers=tuple(
         dataclasses.replace(r, dim=4) if r.name == "T1" else r for r in p.registers))
     assert (wider.reg_dims["T1"], p.reg_dims["T1"]) == (4, 2)
+
+
+def test_the_oracle_is_a_cached_fact_outside_equality_and_repr():
+    p = tiny_protocol()
+    copy = dataclasses.replace(p)
+    assert "oracle" not in vars(p)  # built on first read, like the other facts
+    assert p.oracle is p.oracle and p.oracle == OracleSpec(p.domain_size, p.group)
+    assert copy == p and repr(copy) == repr(p) and "oracle" not in repr(p)
+    assert copy.oracle == p.oracle and copy.oracle is not p.oracle
 
 
 def test_a_gate_on_an_unknown_register_is_a_violation_not_a_construction_error():

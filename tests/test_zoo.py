@@ -107,16 +107,19 @@ def test_trivial_concrete_key_is_oracle_bit_of_sent_address():
     p = zoo.trivial_last_message_protocol(4, Z2)
     table = (0, 1, 1, 0)
     for seed in range(6):
-        trace = proto.run_concrete(p, table, seed=seed)
+        run = proto.run_concrete(p, table, seed=seed)
+        k_B = run.state.fixed[p.key_reg_b]
+        ensemble = proto.message_ensemble(run.state, p)
         # one component per address consistent with Bob's key bit
-        assert len(trace.ensemble) == sum(1 for v in table if v == trace.k_B)
-        for comp in trace.ensemble:
+        assert len(ensemble) == sum(1 for v in table if v == k_B)
+        for comp in ensemble:
             sent = comp.values[0]
-            assert table[sent] == trace.k_B
+            assert table[sent] == k_B
             expected = np.zeros(4)
             expected[sent] = 1.0
             assert np.allclose(comp.vector, expected)
-        assert trace.k_A == trace.k_B
+        # Alice's final map on the run's own state outputs Bob's key with certainty
+        assert proto.final_map(p, run.state)[0][k_B] == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_constant_key_protocol_is_constant():
