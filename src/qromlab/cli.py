@@ -2,22 +2,32 @@
 
 Trials are independent and draw their randomness from counter-based
 streams keyed by (master seed, trial index), so results do not depend on
-scheduling order and a fixed seed reproduces every row exactly.  The
-only nondeterministic outputs are the timing columns.
+which process runs a trial and a fixed seed reproduces every row exactly.
+The only nondeterministic outputs are the timing columns.
+
+A run's trials go in order in the calling process.  Once the run has
+taken ``FORK_BUDGET_S`` of wall time, the trials left are split over
+``worker_count()`` processes: this one and forked children, each taking
+every k-th remaining trial and sending its rows back over a pipe.  Short
+runs never pay for a fork, and the trials' numpy calls hold the GIL, so
+threads would only queue behind each other.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import numbers
 import os
+import pickle
+import signal
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -43,6 +53,9 @@ ATTACK_COLUMNS = ("trial", "k_E", "k_A", "k_B", "L_size", "aborted",
 LEARNER_COLUMNS = ("trial", "L_size", "aborted", "max_residual_weight", "seconds")
 EQUIV_COLUMNS = ("trial", "tv_distance", "seconds")
 REPLAY_TOL = 1e-9
+# wall time a run spends in-process before it forks workers for the trials left:
+# a fork and a pickled reply cost a few ms, which a shorter run would not win back
+FORK_BUDGET_S = 0.05
 
 
 class ConfigError(QromlabError):
@@ -51,6 +64,9 @@ class ConfigError(QromlabError):
     def __init__(self, items):
         self.items = list(items)
         super().__init__("; ".join(self.items))
+
+    def __reduce__(self):
+        return type(self), (self.items,)
 
 
 def _fmt(value) -> str:
@@ -64,6 +80,8 @@ def _fmt(value) -> str:
 
 
 def worker_count() -> int:
+    """Processes a run may use: ``QROMLAB_THREADS`` when set, else the CPUs this
+    process may run on, at most 8."""
     env = os.environ.get("QROMLAB_THREADS")
     if env is not None:
         try:
@@ -71,15 +89,95 @@ def worker_count() -> int:
         except ValueError:
             raise ConfigError([f"QROMLAB_THREADS must be an integer, got {env!r}"])
         return max(1, cap)
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
 def _run_trials(fn, trials: int) -> list:
+    """``[fn(t) for t in range(trials)]``, forking workers for the trials left once
+    the run has taken ``FORK_BUDGET_S``.  It never forks with one worker, without
+    ``os.fork`` or while another thread is alive, since a forked child holds only
+    the calling thread and any lock another thread held stays locked in it."""
     workers = worker_count()
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+    can_fork = workers > 1 and hasattr(os, "fork")
+    started = time.perf_counter()
+    results = []
+    for t in range(trials):
+        if (can_fork and time.perf_counter() - started >= FORK_BUDGET_S
+                and threading.active_count() == 1):
+            return results + _forked(fn, range(t, trials), workers)
+        results.append(fn(t))
+    return results
+
+
+def _forked(fn, todo: range, workers: int) -> list:
+    """``fn(t)`` for each t in ``todo``, in order, over at most ``workers`` processes.
+
+    This process counts as one worker; each takes every k-th trial.  A trial's
+    exception is raised here with its type and message.  Every child is killed
+    and reaped before this returns or raises, whatever raised.
+    """
+    workers = min(workers, len(todo))
+    chunks = [todo[i::workers] for i in range(workers)]
+    local = [chunks[0]]
+    children = {}  # pid -> (read end of its pipe, its chunk), until reaped
+    try:
+        for chunk in chunks[1:]:
+            try:
+                pid, read = _fork_worker(fn, chunk)
+            except OSError:  # no process or pipe to spare: the chunk runs here
+                local.append(chunk)
+            else:
+                children[pid] = (read, chunk)
+        rows = {t: fn(t) for chunk in local for t in chunk}
+        for pid, (read, chunk) in list(children.items()):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            os.close(read)
+            if status != 0:
+                raise QromlabError(f"the worker process for trials {list(chunk)} "
+                                   "ended without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            rows.update(zip(chunk, value))
+    finally:
+        for pid, (read, _) in children.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [rows[t] for t in todo]
+
+
+def _fork_worker(fn, chunk) -> tuple[int, int]:
+    """Fork a child that runs ``fn`` over ``chunk`` and writes the pickled
+    ``(True, rows)`` or ``(False, exception)`` to a pipe; its pid and the pipe's
+    read end.  The child exits 0 only once the whole reply is written."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                reply = (True, [fn(t) for t in chunk])
+            except BaseException as exc:  # sent to the parent, which raises it
+                reply = (False, exc)
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(reply))
+            status = 0
+        finally:
+            os._exit(status)  # never run the parent's cleanup or return into its stack
+    os.close(write)
+    return pid, read
 
 
 def _is_real(value) -> bool:
@@ -216,19 +314,28 @@ class ExperimentConfig:
 
     def resolve_protocol(self) -> Protocol:
         """A builtin name always means the builtin; any other name is a path when it
-        ends in ``.json`` or exists."""
+        ends in ``.json`` or exists.  A builtin is built once per (builder, n, group)
+        and shared by the runs that name it (see ``_built``)."""
         if self.protocol_json is not None:
             return Protocol.from_json(self.protocol_json)
         if self.protocol is None:
             raise ConfigError(["no protocol configured"])
         build = zoo.BUILTINS.get(self.protocol)
         if build is not None:
-            return build(self.n, self.group_spec())
+            return _built(build, self.n, self.group_spec())
         path = Path(self.protocol)
         if path.suffix == ".json" or path.exists():
             return Protocol.from_json(_read_file(path))
         known = ", ".join(sorted(zoo.BUILTINS))
         raise ConfigError([f"unknown protocol {self.protocol!r}; builtins: {known}"])
+
+
+@functools.lru_cache(maxsize=16)
+def _built(build, n: int, group: GroupSpec) -> Protocol:
+    """``build(n, group)``, kept for the next run.  A protocol is immutable, and the
+    gate forms and facts it derives on first use hold for every run, so a run of a
+    few short trials does not pay to rebuild them."""
+    return build(n, group)
 
 
 def _attack_trial(p: Protocol, cfg: ExperimentConfig, eps: float, trial: int):

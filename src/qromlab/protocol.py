@@ -139,8 +139,8 @@ class Gate:
 
     def resolved(self, tdims: tuple[int, ...], at: tuple | None = None) -> ResolvedGate:
         """The checked form for target dims ``tdims`` and frozen target values ``at`` (None
-        for a live target, all live by default), kept from its first build (a race builds
-        two); a build that raises keeps nothing."""
+        for a live target, all live by default), kept from its first build; a build that
+        raises keeps nothing."""
         at = at or (None,) * len(tdims)
         form = self._forms.get((tdims, at))
         if form is None:

@@ -4,6 +4,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import pickle
+import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -117,36 +122,168 @@ def test_guess_only_leaves_alice_columns_empty(tmp_path):
     assert summary["min_eq_simulatedm"] is None
 
 
-def test_runs_are_deterministic_across_thread_counts(tmp_path, monkeypatch):
+def forced_fork(monkeypatch, workers: int = 2) -> list:
+    """Make runs fork from their first trial on; the returned list collects the
+    pid of every child forked."""
+    monkeypatch.setattr(cli, "FORK_BUDGET_S", 0)
+    monkeypatch.setenv("QROMLAB_THREADS", str(workers))
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli.os, "fork", recording_fork)
+    return pids
+
+
+MODE_RUNS = [
+    ({}, "trials_eps0.csv"),
+    ({"mode": "learner-only", "protocol": "merkle"}, "trials_eps0.csv"),
+    ({"mode": "oracle-equivalence", "n": 2, "queries": 2}, "trials.csv"),
+]
+
+
+@pytest.mark.parametrize("overrides,csv_name", MODE_RUNS)
+def test_runs_are_deterministic_across_thread_counts(tmp_path, monkeypatch, overrides,
+                                                      csv_name):
     outputs = []
-    for threads, name in (("1", "a"), ("3", "b")):
-        monkeypatch.setenv("QROMLAB_THREADS", threads)
-        cfg = make_config(tmp_path / name, trials=6)
+    for forked, name in ((False, "a"), (True, "b")):
+        if forked:
+            pids = forced_fork(monkeypatch, workers=3)
+        else:
+            monkeypatch.setenv("QROMLAB_THREADS", "1")
+        cfg = make_config(tmp_path / name, trials=6, **overrides)
         summary = cli.run_experiment(cfg)
-        rows = read_rows(Path(cfg.out_dir) / "trials_eps0.csv")
+        rows = read_rows(Path(cfg.out_dir) / csv_name)
         for row in rows:
             row.pop("seconds")
         summary.pop("wall_time")
         summary["config"].pop("out_dir")
         outputs.append((rows, summary))
+    assert len(pids) == 2
     assert outputs[0] == outputs[1]
+    # trial 4 ran in a child: its row replays in this process
+    assert cli.replay(4, cfg.out_dir)["recorded"]["trial"] == "4"
 
 
-@pytest.mark.parametrize("overrides,csv_name", [
-    ({}, "trials_eps0.csv"),
-    ({"mode": "learner-only", "protocol": "merkle"}, "trials_eps0.csv"),
-    ({"mode": "oracle-equivalence", "n": 2, "queries": 2}, "trials.csv"),
-])
-def test_seconds_is_the_trials_own_thread_time(tmp_path, monkeypatch, overrides, csv_name):
+def test_workers_write_the_serial_runs_dumps(tmp_path, monkeypatch):
+    proto_path = tmp_path / "flipped.json"
+    proto_path.write_text(json.dumps(broken_announced().to_json()))
+    dumps = []
+    for forked, name in ((False, "a"), (True, "b")):
+        if forked:
+            pids = forced_fork(monkeypatch, workers=3)
+        else:
+            monkeypatch.setenv("QROMLAB_THREADS", "1")
+        cfg = make_config(tmp_path / name, protocol=str(proto_path), trials=3)
+        assert cli.run_experiment(cfg)["dumped"] == [f"trial{t}_eps0.json" for t in range(3)]
+        dumps.append({f.name: f.read_text() for f in (Path(cfg.out_dir) / "dumps").iterdir()})
+    assert len(pids) == 2
+    assert dumps[0] == dumps[1]
+    assert cli.replay(2, cfg.out_dir)["recomputed"]["dump_check"]["compatible"]
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+@pytest.mark.parametrize("overrides,csv_name", MODE_RUNS)
+def test_seconds_is_the_trials_own_thread_time(tmp_path, monkeypatch, overrides, csv_name,
+                                               forked):
     # a clock that ticks once per reading: a trial timed with it reads
     # exactly 1 s, one timed with any other clock reads far less
     ticks = iter(range(10**6))
     monkeypatch.setattr(cli.time, "thread_time", lambda: float(next(ticks)))
-    monkeypatch.setenv("QROMLAB_THREADS", "1")
+    if forked:
+        pids = forced_fork(monkeypatch)
+    else:
+        monkeypatch.setenv("QROMLAB_THREADS", "1")
     cfg = make_config(tmp_path, trials=3, **overrides)
     cli.run_experiment(cfg)
     rows = read_rows(Path(cfg.out_dir) / csv_name)
     assert [float(r["seconds"]) for r in rows] == [1.0] * 3
+    assert not forked or len(pids) == 1
+
+
+def test_a_run_started_while_another_thread_is_alive_does_not_fork(tmp_path, monkeypatch):
+    pids = forced_fork(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        cfg = make_config(tmp_path, mode="learner-only", protocol="merkle", trials=4)
+        cli.run_experiment(cfg)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert pids == []
+    assert len(read_rows(Path(cfg.out_dir) / "trials_eps0.csv")) == 4
+
+
+@pytest.mark.parametrize("error,code,err", [
+    (ConfigError(["a b", "c"]), 2, "config error: a b\nconfig error: c\n"),
+    (DomainError("trial out of its domain"), 1, "error: trial out of its domain\n"),
+], ids=["config-error", "qromlab-error"])
+def test_a_trial_error_in_a_worker_is_raised_in_the_parent(tmp_path, monkeypatch, capsys,
+                                                           error, code, err):
+    pids = forced_fork(monkeypatch)
+    parent = os.getpid()
+    real = cli._learner_trial
+
+    def trial(p, cfg, eps, t):
+        if os.getpid() != parent:
+            raise error
+        return real(p, cfg, eps, t)
+
+    monkeypatch.setattr(cli, "_learner_trial", trial)
+    cfg = make_config(tmp_path, mode="learner-only", protocol="merkle", trials=4)
+    with pytest.raises(type(error)) as raised:
+        cli.run_experiment(cfg)
+    assert len(pids) == 1
+    assert str(raised.value) == str(error)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg.to_json()))
+    assert cli.main(["run", "--config", str(config)]) == code
+    assert capsys.readouterr().err == err
+    assert not (Path(cfg.out_dir) / "trials_eps0.csv").exists()
+
+
+@pytest.mark.parametrize("end", ["killed", "unpicklable-rows"])
+def test_a_worker_that_ends_without_a_result_names_its_trials(monkeypatch, end):
+    forced_fork(monkeypatch)
+    parent = os.getpid()
+
+    def trial(t):
+        if os.getpid() == parent:
+            return t
+        if end == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lambda: t  # pickle refuses a lambda
+
+    with pytest.raises(QromlabError, match=r"trials \[1, 3\] ended without a result"):
+        cli._run_trials(trial, 4)
+
+
+def test_no_worker_outlives_a_run_whose_own_chunk_raises(monkeypatch):
+    pids = forced_fork(monkeypatch, workers=3)
+    parent = os.getpid()
+
+    def trial(t):
+        if os.getpid() == parent:
+            raise DomainError("the parent's chunk failed")
+        time.sleep(60)
+
+    started = time.monotonic()
+    with pytest.raises(DomainError, match="the parent's chunk failed"):
+        cli._run_trials(trial, 6)
+    # the children were killed, not waited for, and are reaped
+    assert time.monotonic() - started < 30
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_worker_count_reads_the_env(monkeypatch):
@@ -157,6 +294,18 @@ def test_worker_count_reads_the_env(monkeypatch):
     monkeypatch.setenv("QROMLAB_THREADS", "many")
     with pytest.raises(ConfigError):
         cli.worker_count()
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("QROMLAB_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.worker_count() == 1
+
+
+def test_a_config_error_survives_pickling():
+    exc = pickle.loads(pickle.dumps(ConfigError(["a b", "c"])))
+    assert type(exc) is ConfigError
+    assert exc.items == ["a b", "c"] and str(exc) == "a b; c"
 
 
 def test_learner_only_mode_reports_query_counts(tmp_path):
@@ -215,6 +364,21 @@ def test_a_run_and_a_replay_build_the_protocol_once(tmp_path, monkeypatch):
     cli.replay(1, cfg.out_dir)
     # the summary's config carries the protocol's JSON, so replay reads that
     assert built == ["announced-query", "from_json"]
+
+
+def test_runs_that_name_a_builtin_share_one_build(tmp_path, monkeypatch):
+    built = []
+    build = zoo.BUILTINS["announced-query"]
+    monkeypatch.setitem(zoo.BUILTINS, "announced-query",
+                        lambda n, g: built.append(n) or build(n, g))
+    first = make_config(tmp_path / "a", trials=2)
+    summary, again = cli.run_experiment(first), cli.run_experiment(first)
+    summary.pop("wall_time"), again.pop("wall_time")
+    assert again == summary
+    cli.run_experiment(make_config(tmp_path / "b", trials=2, seed=9))
+    assert built == [4]
+    assert make_config(tmp_path, n=3).resolve_protocol() is not first.resolve_protocol()
+    assert built == [4, 3]
 
 
 def test_a_builtin_resolves_where_only_its_own_constructor_accepts_n(tmp_path, capsys):

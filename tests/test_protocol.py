@@ -11,8 +11,6 @@ import csv
 import dataclasses
 import json
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1004,27 +1002,6 @@ def test_one_gate_object_keeps_one_resolved_form_per_target_dims():
         form = gate.resolved((dim,))
         assert not form.op.array.flags.writeable and not form.inverse.array.flags.writeable
     assert gate.resolved((4,)) is form and gate.resolved((8,)) is not form
-
-
-def test_threads_sharing_a_protocol_get_the_sequential_results():
-    # the CLI's pool threads share one protocol, so they race to resolve its gates
-    table = (1, 0, 1, 1)
-    expect = proto.joint_distribution(zoo.merkle_ka_protocol(4), table=table)
-    p = zoo.merkle_ka_protocol(4)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(proto.joint_distribution, p, table) for _ in range(16)]
-            results = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(old)
-    assert all(r == expect for r in results)
-    sequential = zoo.merkle_ka_protocol(4)
-    proto.joint_distribution(sequential, table=table)
-    keys = [[set(g._forms) for g in protocol_gates(q)] for q in (p, sequential)]
-    assert keys[0] and keys[0] == keys[1]
-    assert all(sum(all(v is None for v in at) for _, at in k) == 1 for k in keys[0])
 
 
 def protocol_gates(p):
